@@ -3,28 +3,28 @@
 The direct route applies coin-and-shift to the sparse state, step by step.
 The momentum route Fourier-transforms the state over a periodic box, where
 each step is just a 4x4 matrix per momentum cell, applies the matrix power
-once, and transforms back.  As long as the wavefront cannot wrap around
-the box the two agree to near machine precision.
+once, and transforms back.  The box must fit the wavefront (support span
+plus 2*steps sites; the call raises otherwise), and then the two agree to
+near machine precision.
 """
 
 from time import perf_counter
 
-from qwalk2d import EvolutionConfig, builtin_coin, evolve, evolve_momentum, revival_state, superpose
+from qwalk2d import builtin_coin, evolve, evolve_momentum, revival_state, superpose
 
-config = EvolutionConfig(steps=50, lattice_size=128)
-print(f"steps={config.steps}, box={config.lattice_size}x{config.lattice_size},"
-      f" wavefront safe: {config.wavefront_safe}")
+steps, box = 50, 128
+print(f"steps={steps}, box={box}x{box}")
 
 start = revival_state()
 for name in ("grover", "hadamard4", "dft4"):
     coin = builtin_coin(name)
 
     t0 = perf_counter()
-    direct = evolve(start, coin, config.steps)
+    direct = evolve(start, coin, steps)
     t_direct = perf_counter() - t0
 
     t0 = perf_counter()
-    momentum = evolve_momentum(start, coin, config.steps, config.lattice_size)
+    momentum = evolve_momentum(start, coin, steps, box)
     t_momentum = perf_counter() - t0
 
     diff = superpose([(1, direct), (-1, momentum)])

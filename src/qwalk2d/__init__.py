@@ -10,7 +10,6 @@ from .dynamics import (
     BUILTIN_COIN_NAMES,
     CoinError,
     CoinOperator,
-    EvolutionConfig,
     apply_coin,
     apply_shift,
     builtin_coin,
@@ -60,7 +59,6 @@ __all__ = [
     "CoinError",
     "CoinOperator",
     "ConstantEigenvalue",
-    "EvolutionConfig",
     "LatticePoint",
     "PositionState",
     "RevivalReport",

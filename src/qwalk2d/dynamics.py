@@ -6,12 +6,14 @@ coin matrix and then moves each direction component one site: R to
 unitary, so norms are preserved up to rounding.
 
 The same step can be run in the momentum picture on an even-sized periodic
-box, where it acts as an independent 4x4 unitary at each momentum pair;
-:func:`evolve_momentum` does so via FFTs and reproduces the direct path
-whenever the wavefront never wraps around the box.
+box, where it acts at momentum (k, l) as the 4x4 unitary
+Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  That symbol, in that one sign
+convention, is built only by ``_momentum_symbol``.  :func:`evolve_momentum`
+powers it via FFTs and reproduces the direct path exactly; it raises
+unless ``span + 2*steps <= lattice_size``, so the wavefront cannot wrap
+around the box.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,6 @@ __all__ = [
     "BUILTIN_COIN_NAMES",
     "CoinError",
     "CoinOperator",
-    "EvolutionConfig",
     "UNITARITY_TOL",
     "apply_coin",
     "apply_shift",
@@ -53,8 +54,9 @@ class CoinError(Exception):
 class CoinOperator:
     """A validated 4x4 unitary acting on the direction basis (R, L, U, D).
 
-    Construction rejects matrices whose deviation from unitarity exceeds
-    1e-12 entrywise.  The matrix is stored read-only.
+    Construction rejects matrices with non-finite entries or whose
+    deviation from unitarity exceeds 1e-12 entrywise.  The matrix is
+    stored read-only.
     """
 
     __slots__ = ("matrix", "name")
@@ -63,6 +65,8 @@ class CoinOperator:
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (4, 4):
             raise CoinError(f"coin matrix must be 4x4, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise CoinError("coin matrix has non-finite entries")
         deviation = np.abs(matrix.conj().T @ matrix - np.eye(4)).max()
         if deviation > UNITARITY_TOL:
             raise CoinError(
@@ -178,68 +182,56 @@ def evolve(state: PositionState, coin: CoinOperator, steps: int) -> PositionStat
     return state
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Step count plus periodic box size for momentum-picture runs."""
+def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
+    """Step matrices Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C over ks x ls.
 
-    steps: int
-    lattice_size: int
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.lattice_size <= 0 or self.lattice_size % 2:
-            raise ValueError("lattice_size must be a positive even integer")
-
-    @property
-    def wavefront_safe(self) -> bool:
-        """True when the box is large enough that the wavefront cannot wrap."""
-        return self.lattice_size > 2 * self.steps + 2
-
-
-def _momentum_step_grid(coin: CoinOperator, size: int) -> np.ndarray:
-    """Per-momentum step matrices on the size x size grid, shape (N, N, 4, 4).
-
-    With the forward transform convention of numpy's fft2 (a state at
-    (m, n) picks up the phase e^{-i(km+ln)}), the step acts at momentum
-    (k, l) as Diag(e^{-ik}, e^{ik}, e^{-il}, e^{il}) @ C.  The sign choice
-    is pinned by the direct/momentum equivalence tests.
+    Returns shape (len(ks), len(ls), 4, 4).  Every momentum-picture
+    computation in the package builds its step matrices here, so there is
+    one sign convention: the R component picks up e^{ik}.
     """
-    phase = np.exp(-2j * np.pi * np.arange(size) / size)
-    diag = np.empty((size, size, 4), dtype=complex)
-    diag[:, :, 0] = phase[:, None]
-    diag[:, :, 1] = phase.conj()[:, None]
-    diag[:, :, 2] = phase[None, :]
-    diag[:, :, 3] = phase.conj()[None, :]
+    x = np.exp(1j * np.asarray(ks, dtype=float))
+    y = np.exp(1j * np.asarray(ls, dtype=float))
+    diag = np.empty((x.size, y.size, 4), dtype=complex)
+    diag[:, :, 0] = x[:, None]
+    diag[:, :, 1] = x.conj()[:, None]
+    diag[:, :, 2] = y[None, :]
+    diag[:, :, 3] = y.conj()[None, :]
     return diag[..., :, None] * coin.matrix
 
 
 def evolve_momentum(
     state: PositionState, coin: CoinOperator, steps: int, lattice_size: int
 ) -> PositionState:
-    """Evolve on an N x N periodic box by diagonalizing over momenta.
+    """Evolve on an N x N periodic box in the momentum picture.
 
     The state is placed in a box centered on its support, transformed with
-    an FFT per coin component, advanced ``steps`` times by the per-momentum
-    4x4 step matrix, and transformed back.  Equivalent to :func:`evolve`
-    as long as the wavefront never wraps (lattice_size > 2*steps + 2 for a
-    localized start).  Resulting amplitudes below 1e-14 are dropped.
+    an FFT per coin component, multiplied at each momentum by the
+    ``steps``-th power of the 4x4 step matrix, and transformed back.  The
+    result matches :func:`evolve` to rounding provided the wavefront never
+    wraps around the box, which holds exactly when ``span + 2*steps <=
+    lattice_size`` for a support spanning ``span`` sites along its wider
+    axis.  Resulting amplitudes below 1e-14 are dropped.
 
-    Raises ValueError for an odd box size or when the initial support does
-    not fit in the box.
+    Raises ValueError for a negative step count, an odd or nonpositive box
+    size, or a box too small for the wavefront.
     """
-    config = EvolutionConfig(steps=int(steps), lattice_size=int(lattice_size))
-    size = config.lattice_size
+    steps = int(steps)
+    size = int(lattice_size)
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if size <= 0 or size % 2:
+        raise ValueError("lattice_size must be a positive even integer")
     if state.n_sites == 0:
         return state
 
     points = np.array(state.points, dtype=np.int64)
     low = points.min(axis=0)
     high = points.max(axis=0)
-    if (high - low).max() >= size:
+    span = int((high - low).max()) + 1
+    if span + 2 * steps > size:
         raise ValueError(
-            f"state support spans {(high - low).max() + 1} sites, "
-            f"exceeding the {size}-site periodic box"
+            f"state support spans {span} sites and {steps} steps widen it by "
+            f"{2 * steps}, exceeding the {size}-site periodic box"
         )
     origin = (low + high + 1) // 2 - size // 2
 
@@ -247,19 +239,11 @@ def evolve_momentum(
     grid[:, points[:, 0] - origin[0], points[:, 1] - origin[1]] = state._amps.T
 
     momentum = np.fft.fft2(grid, axes=(1, 2))
-    vectors = np.moveaxis(momentum, 0, -1)
-    matrices = _momentum_step_grid(coin, size)
-    if config.steps <= 8:
-        for _ in range(config.steps):
-            vectors = np.einsum("...ij,...j->...i", matrices, vectors)
-    else:
-        # eigendecomposition; eigenvalues are re-projected onto the unit
-        # circle so powering cannot drift the modulus
-        w, v = np.linalg.eig(matrices)
-        powered = np.exp(1j * config.steps * np.angle(w))
-        coeffs = np.linalg.solve(v, vectors[..., :, None])[..., 0]
-        vectors = np.einsum("...ij,...j->...i", v, powered * coeffs)
-    grid = np.fft.ifft2(np.moveaxis(vectors, -1, 0), axes=(1, 2))
+    # fft2 attaches e^{-2*pi*i*j*m/N} to site m: that is e^{ikm} at k = -2*pi*j/N
+    ks = -2 * np.pi * np.arange(size) / size
+    powered = np.linalg.matrix_power(_momentum_symbol(coin, ks, ks), steps)
+    vectors = powered @ np.moveaxis(momentum, 0, -1)[..., None]
+    grid = np.fft.ifft2(np.moveaxis(vectors[..., 0], -1, 0), axes=(1, 2))
 
     flat = grid.reshape(4, -1).T
     flat = np.where(np.abs(flat) < MOMENTUM_DROP_TOL, 0, flat)

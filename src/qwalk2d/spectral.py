@@ -2,7 +2,10 @@
 
 For a coin C the walk step acts at momentum (k, l) as the 4x4 unitary
 
-    Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.
+    Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C,
+
+which ``dynamics._momentum_symbol`` builds, in this one sign convention,
+for this module and for the momentum-picture evolution alike.
 
 Eigenvalues of this matrix that stay put across *all* momenta give the
 position-space step a point spectrum, which is what makes finite
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoinOperator
+from .dynamics import CoinOperator, _momentum_symbol
 
 __all__ = [
     "CharPolyProfile",
@@ -47,10 +50,7 @@ _TOLERANCE_RANGE = (1e-12, 1e-4)
 def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
     """The 4x4 step matrix at one momentum pair (k, l)."""
     k, l = momentum
-    diag = np.array(
-        [np.exp(1j * k), np.exp(-1j * k), np.exp(1j * l), np.exp(-1j * l)]
-    )
-    return diag[:, None] * coin.matrix
+    return _momentum_symbol(coin, [k], [l])[0, 0]
 
 
 def eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -73,18 +73,6 @@ def eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_momenta(grid_size: int) -> np.ndarray:
     return 2 * np.pi * np.arange(grid_size) / grid_size
-
-
-def _grid_eigenvalues(coin, ks, ls) -> np.ndarray:
-    """Eigenvalues of the step matrix at every (k, l) in ks x ls."""
-    x = np.exp(1j * np.asarray(ks))
-    y = np.exp(1j * np.asarray(ls))
-    diag = np.empty((x.size, y.size, 4), dtype=complex)
-    diag[:, :, 0] = x[:, None]
-    diag[:, :, 1] = x.conj()[:, None]
-    diag[:, :, 2] = y[None, :]
-    diag[:, :, 3] = y.conj()[None, :]
-    return np.linalg.eigvals(diag[..., :, None] * coin.matrix)
 
 
 def _cluster_by_value(values, tolerance):
@@ -174,7 +162,7 @@ def detect_constant_eigenvalues(
     # cheap pre-pass on a sub-grid: a candidate that already misses there
     # cannot survive the full grid
     coarse = momenta[:: max(1, grid_size // 8)]
-    coarse_values = _grid_eigenvalues(coin, coarse, coarse)
+    coarse_values = np.linalg.eigvals(_momentum_symbol(coin, coarse, coarse))
     candidates = [
         (value, count)
         for value, count in candidates
@@ -183,7 +171,7 @@ def detect_constant_eigenvalues(
 
     constants = []
     if candidates:
-        grid_values = _grid_eigenvalues(coin, momenta, momenta)
+        grid_values = np.linalg.eigvals(_momentum_symbol(coin, momenta, momenta))
         for value, count in candidates:
             residual = float(np.abs(grid_values - value).min(axis=-1).max())
             if residual <= tolerance:
@@ -209,8 +197,9 @@ class CharPolyProfile:
 
     ``e1`` .. ``e4`` hold the elementary symmetric functions of the four
     eigenvalues per grid cell (trace, lambda^2 coefficient, lambda
-    coefficient, determinant).  ``e4`` equals the coin determinant at every
-    cell; ``c_zero`` reports whether the lambda^2 coefficient is
+    coefficient, determinant).  ``e3`` and ``e4`` are closed form:
+    ``e3 = det C * conj(e1)`` and ``e4`` is the coin determinant at every
+    cell.  ``c_zero`` reports whether the lambda^2 coefficient is
     momentum-independent, the condition under which constant eigenvalues
     can exist at all.
     """
@@ -256,18 +245,20 @@ def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfil
     """Sample the characteristic polynomial of the step matrix over a grid.
 
     The polynomial is lambda^4 - e1 lambda^3 + e2 lambda^2 - e3 lambda + e4
-    with the elementary symmetric functions computed from the eigenvalues
-    at each of the grid_size^2 momentum cells.
+    at each of the grid_size^2 momentum cells, computed from traces of the
+    step matrix U without an eigensolve: e1 = tr U and
+    e2 = (e1^2 - tr U^2) / 2.  Because det U = det C and U is unitary,
+    e3 = det C * conj(e1) and e4 = det C exactly.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     momenta = _grid_momenta(grid_size)
-    w = _grid_eigenvalues(coin, momenta, momenta)
-    e1 = w.sum(axis=-1)
-    e4 = w.prod(axis=-1)
-    e2 = (e1**2 - (w**2).sum(axis=-1)) / 2
-    # eigenvalues of a unitary never vanish, so e3 = e4 * sum(1/lambda)
-    e3 = e4 * (1 / w).sum(axis=-1)
+    symbol = _momentum_symbol(coin, momenta, momenta)
+    det_coin = complex(np.linalg.det(coin.matrix))
+    e1 = np.trace(symbol, axis1=-2, axis2=-1)
+    e2 = (e1**2 - np.einsum("...ij,...ji->...", symbol, symbol)) / 2
+    e3 = det_coin * e1.conj()
+    e4 = np.full(e1.shape, det_coin)
     for arr in (e1, e2, e3, e4):
         arr.flags.writeable = False
     return CharPolyProfile(
@@ -276,7 +267,7 @@ def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfil
         e2=e2,
         e3=e3,
         e4=e4,
-        det_coin=complex(np.linalg.det(coin.matrix)),
+        det_coin=det_coin,
     )
 
 

@@ -84,7 +84,8 @@ class PositionState:
 
         PositionState({(0, 0): (1, 0, 0, 0)})
 
-    or through :func:`make_basis_state` / :func:`superpose`.
+    or through :func:`make_basis_state` / :func:`superpose`.  Construction
+    rejects non-finite amplitudes.
     """
 
     __slots__ = ("_keys", "_amps")
@@ -102,6 +103,8 @@ class PositionState:
         amps = np.array([amplitudes[m, n] for m, n in points], dtype=complex)
         if amps.shape != (len(points), 4):
             raise ValueError("each amplitude entry must have exactly 4 components")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         keys = _encode(points[:, 0], points[:, 1])
         keep = np.any(amps != 0, axis=1)
         self._keys = _freeze(keys[keep])

@@ -199,6 +199,21 @@ def test_non_unitary_coin_file_is_a_coin_error(tmp_path, capsys):
     assert "not unitary" in capsys.readouterr().err
 
 
+def test_nan_coin_file_is_a_coin_error(tmp_path, capsys):
+    bad = tmp_path / "nan.coin"
+    bad.write_text("\n".join([" ".join(["nan"] * 8)] * 4) + "\n")
+    assert run_cli("spectrum", "--coin", bad, "--out", tmp_path) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_nan_initial_state_file_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n0,0,nan,0,0,0,0,0,0,0\n")
+    assert run_cli("simulate", "--coin", "grover", "--init", bad,
+                   "--steps", 1, "--out", tmp_path) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_initial_state_is_a_config_error(tmp_path, capsys):
     assert run_cli("simulate", "--coin", "grover", "--init", "psi3",
                    "--steps", 1, "--out", tmp_path) == 2

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
     CoinComponent,
     CoinError,
     CoinOperator,
-    EvolutionConfig,
     PositionState,
     apply_coin,
     apply_shift,
@@ -266,10 +266,8 @@ def test_momentum_matches_direct_for_revival_state():
 def test_momentum_matches_direct_for_random_states(name, rng):
     coin = builtin_coin(name)
     state = random_state(rng, n_sites=8, span=4)
-    config = EvolutionConfig(steps=50, lattice_size=128)
-    assert config.wavefront_safe
-    direct = evolve(state, coin, config.steps)
-    via_momentum = evolve_momentum(state, coin, config.steps, config.lattice_size)
+    direct = evolve(state, coin, 50)
+    via_momentum = evolve_momentum(state, coin, 50, 128)
     assert amp_diff(direct, via_momentum) < 1e-9
 
 
@@ -309,9 +307,45 @@ def test_momentum_rejects_support_exceeding_box():
         evolve_momentum(wide, builtin_coin("grover"), 1, 16)
 
 
-def test_evolution_config_validation():
-    with pytest.raises(ValueError):
-        EvolutionConfig(steps=-1, lattice_size=16)
-    with pytest.raises(ValueError):
-        EvolutionConfig(steps=1, lattice_size=15)
-    assert not EvolutionConfig(steps=8, lattice_size=16).wavefront_safe
+def test_evolve_momentum_validation():
+    start = revival_state()
+    with pytest.raises(ValueError, match="nonnegative"):
+        evolve_momentum(start, builtin_coin("grover"), -1, 16)
+    with pytest.raises(ValueError, match="even"):
+        evolve_momentum(start, builtin_coin("grover"), 1, 15)
+    # a single site needs 1 + 2*steps sites; 20 steps wrap around a 20-site box
+    origin = make_basis_state((0, 0), CoinComponent.R)
+    with pytest.raises(ValueError, match="exceed"):
+        evolve_momentum(origin, builtin_coin("hadamard4"), 20, 20)
+    # the revival state spans 2 sites, so 8 steps need a box of 18, not 16
+    with pytest.raises(ValueError, match="exceed"):
+        evolve_momentum(start, builtin_coin("grover"), 8, 16)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6),
+    steps=st.integers(0, 20),
+)
+def test_momentum_matches_direct_in_the_smallest_box(seed, points, steps):
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng)
+    state = PositionState(
+        {p: rng.normal(size=4) + 1j * rng.normal(size=4) for p in sorted(points)}
+    )
+    state = superpose([(1.0 / state.norm(), state)])
+    span = int(np.ptp(np.array(sorted(points)), axis=0).max()) + 1
+    size = span + 2 * steps + span % 2  # the smallest even box that fits
+    assert amp_diff(evolve(state, coin, steps), evolve_momentum(state, coin, steps, size)) < 1e-12
+    with pytest.raises(ValueError, match="exceed"):
+        evolve_momentum(state, coin, steps + 1, size)
+
+
+def test_nan_coin_is_rejected(tmp_path):
+    with pytest.raises(CoinError, match="non-finite"):
+        CoinOperator(np.full((4, 4), np.nan))
+    path = tmp_path / "nan.coin"
+    path.write_text("\n".join([" ".join(["nan"] * 8)] * 4) + "\n")
+    with pytest.raises(CoinError, match="non-finite"):
+        load_coin(path)

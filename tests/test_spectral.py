@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
     CoinOperator,
@@ -180,6 +181,20 @@ def test_determinant_is_constant_over_grid_for_any_coin(rng):
         coin = random_coin(rng)
         profile = char_poly_profile(coin, 32)
         assert np.abs(profile.e4 - profile.det_coin).max() <= 1e-12
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid_size=st.integers(8, 24), data=st.data())
+def test_closed_form_charpoly_matches_eigenvalues(seed, grid_size, data):
+    coin = random_coin(np.random.default_rng(seed))
+    profile = char_poly_profile(coin, grid_size)
+    i = data.draw(st.integers(0, grid_size - 1))
+    j = data.draw(st.integers(0, grid_size - 1))
+    momentum = (2 * np.pi * i / grid_size, 2 * np.pi * j / grid_size)
+    # np.poly gives (1, -e1, e2, -e3, e4) from the four eigenvalues
+    expected = np.poly(np.linalg.eigvals(momentum_propagator(coin, momentum)))[1:]
+    closed = [-profile.e1[i, j], profile.e2[i, j], -profile.e3[i, j], profile.e4[i, j]]
+    np.testing.assert_allclose(closed, expected, rtol=0, atol=1e-12)
 
 
 def test_detected_constants_imply_constant_lambda2_coefficient():

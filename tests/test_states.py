@@ -209,3 +209,13 @@ def test_csv_load_rejects_duplicate_points(tmp_path):
     path.write_text("m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n" + row + "\n" + row + "\n")
     with pytest.raises(ValueError):
         load_state(path)
+
+
+def test_non_finite_amplitudes_are_rejected(tmp_path):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PositionState({(0, 0): (bad, 0, 0, 0)})
+    path = tmp_path / "nan.csv"
+    path.write_text("m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n0,0,nan,0,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_state(path)
