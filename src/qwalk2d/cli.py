@@ -3,13 +3,13 @@
 Each subcommand writes machine-readable CSV/JSON files into the output
 directory and prints a one-line summary to standard output; diagnostics go
 to standard error.  Exit codes: 0 on success, 2 for configuration errors,
-3 for coin validation failures.
+3 for coin validation failures.  Input ranges (step counts, grid and box
+sizes, tolerances) are checked by the library functions the handlers call.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (
@@ -19,7 +19,6 @@ from .dynamics import (
     builtin_coin,
     evolve,
     load_coin,
-    step,
 )
 from .revival import detect_period, find_local_stationary_states, grover_stationary_states, revival_state
 from .spectral import char_poly_profile, detect_constant_eigenvalues
@@ -32,7 +31,7 @@ from .states import (
     save_state,
 )
 
-__all__ = ["main", "RunConfig", "ConfigError"]
+__all__ = ["main", "ConfigError"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,35 +39,8 @@ EXIT_COIN = 3
 
 BUILTIN_INITIAL_NAMES = ("psi1", "psi2", "revival", "origin_symmetric")
 
-_TOL_RANGE = (1e-12, 1e-4)
-
-
 class ConfigError(Exception):
     """Invalid command-line configuration."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings shared by the subcommands."""
-
-    command: str
-    coin_spec: str
-    out: Path
-    init_spec: str | None = None
-    steps: int = 0
-    grid: int = 64
-    tol: float = 1e-8
-    eigenvalue: complex = 1.0 + 0j
-    box: int = 2
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigError("step count must be nonnegative")
-        if self.grid <= 0 or self.box <= 0:
-            raise ConfigError("grid and box sizes must be positive")
-        lo, hi = _TOL_RANGE
-        if not lo <= self.tol <= hi:
-            raise ConfigError(f"tolerance must lie in [{lo:g}, {hi:g}]")
 
 
 def _resolve_coin(spec: str) -> CoinOperator:
@@ -135,78 +107,72 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_distribution(path: Path, state: PositionState) -> None:
+def _write_distribution(path: Path, distribution: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("m,n,prob\n")
-        for (m, n), prob in state.distribution().items():
+        for (m, n), prob in distribution.items():
             fh.write(f"{m},{n},{prob:.17g}\n")
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    coin = _resolve_coin(config.coin_spec)
-    initial = _resolve_initial(config.init_spec)
-    final = evolve(initial, coin, config.steps)
-    out = _out_dir(config.out)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    coin = _resolve_coin(args.coin)
+    initial = _resolve_initial(args.init)
+    final = evolve(initial, coin, args.steps)
+    out = _out_dir(args.out)
     save_state(final, out / "state.csv")
-    _write_distribution(out / "distribution.csv", final)
-    total = sum(final.distribution().values())
+    distribution = final.distribution()
+    _write_distribution(out / "distribution.csv", distribution)
+    total = sum(distribution.values())
     print(
-        f"simulate coin={config.coin_spec} init={config.init_spec} "
-        f"steps={config.steps}: total_probability={total:.12g} "
+        f"simulate coin={args.coin} init={args.init} "
+        f"steps={args.steps}: total_probability={total:.12g} "
         f"support={final.n_sites} fidelity_to_initial={fidelity(final, initial):.12g}"
     )
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    coin = _resolve_coin(config.coin_spec)
-    report = detect_constant_eigenvalues(coin, config.grid, config.tol)
-    profile = char_poly_profile(coin, config.grid)
-    out = _out_dir(config.out)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    coin = _resolve_coin(args.coin)
+    report = detect_constant_eigenvalues(coin, args.grid, args.tol)
+    profile = char_poly_profile(coin, args.grid)
+    out = _out_dir(args.out)
     _write_json(out / "spectrum.json", {**report.to_json_dict(), **profile.to_json_dict()})
     print(
-        f"spectrum coin={config.coin_spec} grid={config.grid} tol={config.tol:g}: "
+        f"spectrum coin={args.coin} grid={args.grid} tol={args.tol:g}: "
         f"constants={len(report.constants)} pairing_ok={report.pairing_ok} "
         f"four_constant={report.four_constant} c_zero={profile.c_zero}"
     )
     return EXIT_OK
 
 
-def cmd_stationary(config: RunConfig) -> int:
-    coin = _resolve_coin(config.coin_spec)
-    found = find_local_stationary_states(coin, config.eigenvalue, config.box)
-    out = _out_dir(config.out)
+def cmd_stationary(args: argparse.Namespace) -> int:
+    eigenvalue = _parse_complex_pair(args.eigenvalue)
+    coin = _resolve_coin(args.coin)
+    found = find_local_stationary_states(coin, eigenvalue, args.box)
+    out = _out_dir(args.out)
     for i, state in enumerate(found.states):
         save_state(state, out / f"stationary_{i:02d}.csv")
     print(
-        f"stationary coin={config.coin_spec} "
-        f"lambda={config.eigenvalue.real:g},{config.eigenvalue.imag:g} "
-        f"box={config.box}: states={len(found.states)}"
+        f"stationary coin={args.coin} "
+        f"lambda={eigenvalue.real:g},{eigenvalue.imag:g} "
+        f"box={args.box}: states={len(found.states)}"
     )
     return EXIT_OK
 
 
-def cmd_revival(config: RunConfig) -> int:
-    coin = _resolve_coin(config.coin_spec)
-    initial = _resolve_initial(config.init_spec)
-    report = detect_period(initial, coin, config.steps, config.tol)
-    out = _out_dir(config.out)
+def cmd_revival(args: argparse.Namespace) -> int:
+    coin = _resolve_coin(args.coin)
+    initial = _resolve_initial(args.init)
+    report = detect_period(initial, coin, args.tmax, args.tol)
+    out = _out_dir(args.out)
     _write_json(out / "revival.json", report.to_json_dict())
-
-    # probability at the origin per step, for any initial state (the walker
-    # need not start there)
-    state = initial
     with open(out / "return_probability.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("t,prob\n")
-        for t in range(config.steps + 1):
-            if t > 0:
-                state = step(state, coin)
-            p0 = float(sum(abs(a) ** 2 for a in state.amplitude((0, 0))))
-            fh.write(f"{t},{p0:.17g}\n")
-
+        for t, prob in enumerate(report.return_probability):
+            fh.write(f"{t},{prob:.17g}\n")
     print(
-        f"revival coin={config.coin_spec} init={config.init_spec} "
-        f"tmax={config.steps}: period={report.period}"
+        f"revival coin={args.coin} init={args.init} "
+        f"tmax={args.tmax}: period={report.period}"
     )
     return EXIT_OK
 
@@ -264,19 +230,6 @@ _HANDLERS = {
 }
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    common = dict(command=args.command, coin_spec=args.coin, out=args.out)
-    if args.command == "simulate":
-        return RunConfig(**common, init_spec=args.init, steps=args.steps)
-    if args.command == "spectrum":
-        return RunConfig(**common, grid=args.grid, tol=args.tol)
-    if args.command == "stationary":
-        return RunConfig(
-            **common, eigenvalue=_parse_complex_pair(args.eigenvalue), box=args.box
-        )
-    return RunConfig(**common, init_spec=args.init, steps=args.tmax, tol=args.tol)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -284,8 +237,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _to_config(args)
-        return _HANDLERS[args.command](config)
+        return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"qwalk2d: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

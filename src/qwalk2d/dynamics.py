@@ -3,7 +3,12 @@
 One step first multiplies every occupied site's amplitude 4-vector by the
 coin matrix and then moves each direction component one site: R to
 (m+1, n), L to (m-1, n), U to (m, n+1), D to (m, n-1).  The step is exactly
-unitary, so norms are preserved up to rounding.
+unitary, so norms are preserved up to rounding, and it raises ValueError
+rather than move a site past the coordinate limit of the state encoding.
+
+``_trajectory`` is the package's only time-stepping loop: :func:`evolve`
+and the revival scans in :mod:`qwalk2d.revival` all consume the states it
+yields, so each of them walks the lattice once.
 
 The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import PositionState, _KEY_BASE
+from .states import PositionState, _KEY_BASE, _check_coords, _decode
 
 __all__ = [
     "BUILTIN_COIN_NAMES",
@@ -149,7 +154,11 @@ def apply_coin(state: PositionState, coin: CoinOperator) -> PositionState:
 
 
 def apply_shift(state: PositionState) -> PositionState:
-    """Move each direction component one site along its direction."""
+    """Move each direction component one site along its direction.
+
+    Raises ValueError if a site would leave the range of lattice
+    coordinates that states can encode.
+    """
     if state.n_sites == 0:
         return state
     shifted_keys = []
@@ -160,6 +169,7 @@ def apply_shift(state: PositionState) -> PositionState:
         shifted_keys.append(state._keys[mask] + _SHIFT_KEYS[c])
         shifted_vals.append(col[mask])
     out_keys = np.unique(np.concatenate(shifted_keys))
+    _check_coords(*_decode(out_keys))
     out = np.zeros((out_keys.size, 4), dtype=complex)
     for c in range(4):
         # within one component the displacement is injective, so plain
@@ -173,12 +183,25 @@ def step(state: PositionState, coin: CoinOperator) -> PositionState:
     return apply_shift(apply_coin(state, coin))
 
 
-def evolve(state: PositionState, coin: CoinOperator, steps: int) -> PositionState:
-    """Apply ``steps`` walk steps (0 returns the input unchanged)."""
+def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
+    """Yield the state after 0, 1, ..., ``steps`` walk steps.
+
+    Raises ValueError for a negative step count when iteration starts.
+    ``step`` is called through the module global, so a wrapper installed
+    on ``dynamics.step`` sees every step.
+    """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
+    yield state
     for _ in range(int(steps)):
         state = step(state, coin)
+        yield state
+
+
+def evolve(state: PositionState, coin: CoinOperator, steps: int) -> PositionState:
+    """Apply ``steps`` walk steps (0 returns the input unchanged)."""
+    for state in _trajectory(state, coin, steps):
+        pass
     return state
 
 

@@ -5,16 +5,24 @@ eigenvectors can be chosen with finite support; superposing one of each
 yields a state that the step swaps back and forth between two disjoint
 configurations, an exact two-step revival.  This module constructs those
 states in closed form, searches for finite-support eigenstates of
-arbitrary coins by solving a box-restricted eigenproblem, detects revival
-periods from the fidelity time series, and records the probability of
-finding the walker back at its starting point.
+arbitrary coins by solving a box-restricted eigenproblem, and reads two
+observables off one walk: the fidelity to the initial state, whose first
+return to 1 is the revival period, and the return probability.
+
+The return probability after t steps is the probability of finding the
+walker at the lattice origin (0, 0), coin components traced out, for any
+normalized initial state; a walker that starts away from the origin
+starts with return probability 0.  :func:`detect_period` records it
+alongside the fidelity in a single pass over
+:func:`qwalk2d.dynamics._trajectory`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoinOperator, step
+from .dynamics import CoinOperator, _trajectory
+from .spectral import _check_tolerance
 from .states import (
     LatticePoint,
     PositionState,
@@ -156,18 +164,21 @@ def find_local_stationary_states(
 
 @dataclass(frozen=True)
 class RevivalReport:
-    """Fidelity-to-initial time series and the first full-revival time.
+    """Fidelity-to-initial and return-probability series of one walk.
 
     ``period`` is the first step count at which the fidelity reaches
     1 - tolerance, or None if that never happens within the scanned range;
     ``phase`` is then the recovered global phase <initial|state(period)>.
-    ``fidelity_series[t - 1]`` holds the fidelity after t steps.
+    ``fidelity_series[t - 1]`` holds the fidelity after t steps and
+    ``return_probability[t]`` the probability at the origin after t steps,
+    for t = 0..t_max.
     """
 
     period: int | None
     fidelity_series: tuple[float, ...]
     tolerance: float
     phase: complex | None
+    return_probability: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,24 +191,33 @@ class RevivalReport:
         }
 
 
+def _origin_probability(state: PositionState) -> float:
+    vec = state.amplitude((0, 0))
+    return float(np.sum(np.abs(vec) ** 2))
+
+
 def detect_period(
     initial: PositionState, coin: CoinOperator, t_max: int, tolerance: float = 1e-10
 ) -> RevivalReport:
     """Scan up to ``t_max`` steps for a full revival of ``initial``.
 
     The criterion is fidelity >= 1 - tolerance, which is insensitive to a
-    global phase; the recovered phase is reported separately.  The series
-    is always recorded out to ``t_max``, even past a detected revival.
+    global phase; the recovered phase is reported separately.  Both series
+    are always recorded out to ``t_max``, even past a detected revival.
+    Raises ValueError for an unnormalized start, ``t_max < 1``, or a
+    tolerance outside [1e-12, 1e-4].
     """
     _require_normalized(initial, "detect_period")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
+    _check_tolerance(tolerance)
+    trajectory = _trajectory(initial, coin, t_max)
+    returns = [_origin_probability(next(trajectory))]
     series = []
     period = None
     phase = None
-    state = initial
-    for t in range(1, int(t_max) + 1):
-        state = step(state, coin)
+    for t, state in enumerate(trajectory, start=1):
+        returns.append(_origin_probability(state))
         overlap = fidelity(state, initial)
         series.append(overlap)
         if period is None and overlap >= 1.0 - tolerance:
@@ -208,6 +228,7 @@ def detect_period(
         fidelity_series=tuple(series),
         tolerance=tolerance,
         phase=phase,
+        return_probability=tuple(returns),
     )
 
 
@@ -216,24 +237,10 @@ def return_probability_series(
 ) -> list[float]:
     """Probability of finding the walker at the origin after 0..t_max steps.
 
-    ``initial`` must be normalized and supported entirely at (0, 0).  A
-    coin with momentum-independent eigenvalues keeps this series bounded
-    away from zero (the walker stays partially trapped); generic coins let
-    it decay toward zero.
+    ``initial`` must be normalized and may be supported anywhere.  For a
+    walker started at the origin, a coin with momentum-independent
+    eigenvalues keeps this series bounded away from zero (the walker stays
+    partially trapped); generic coins let it decay toward zero.
     """
     _require_normalized(initial, "return_probability_series")
-    if initial.points != [(0, 0)]:
-        raise ValueError("initial state must be supported at the origin only")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-
-    def origin_probability(state):
-        vec = state.amplitude((0, 0))
-        return float(np.sum(np.abs(vec) ** 2))
-
-    series = [origin_probability(initial)]
-    state = initial
-    for _ in range(int(t_max)):
-        state = step(state, coin)
-        series.append(origin_probability(state))
-    return series
+    return [_origin_probability(state) for state in _trajectory(initial, coin, t_max)]

@@ -44,7 +44,14 @@ C_ZERO_VARIANCE_TOL = 1e-10
 # k:l ratio so degeneracies there are not systematic
 _SEED_FRACTIONS = (1.0, 1.7)
 
+# accepted decision tolerances, for this scan and for revival detection
 _TOLERANCE_RANGE = (1e-12, 1e-4)
+
+
+def _check_tolerance(tolerance: float) -> None:
+    lo, hi = _TOLERANCE_RANGE
+    if not lo <= tolerance <= hi:
+        raise ValueError(f"tolerance must lie in [{lo:g}, {hi:g}]")
 
 
 def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
@@ -150,9 +157,7 @@ def detect_constant_eigenvalues(
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    lo, hi = _TOLERANCE_RANGE
-    if not lo <= tolerance <= hi:
-        raise ValueError(f"tolerance must lie in [{lo:g}, {hi:g}]")
+    _check_tolerance(tolerance)
 
     seed = (np.pi * _SEED_FRACTIONS[0] / grid_size, np.pi * _SEED_FRACTIONS[1] / grid_size)
     seed_values = np.linalg.eigvals(momentum_propagator(coin, seed))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qwalk2d import builtin_coin, evolve, fidelity, load_state, revival_state
+from qwalk2d import builtin_coin, dynamics, evolve, fidelity, load_state, revival_state
 from qwalk2d.cli import main
 from qwalk2d.revival import grover_stationary_states
 
@@ -162,6 +162,20 @@ def test_revival_command_reports_period_two(tmp_path, capsys):
     assert len(rows) == 12
 
 
+def test_revival_command_walks_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = dynamics.step
+
+    def counting_step(state, coin):
+        calls.append(1)
+        return original(state, coin)
+
+    monkeypatch.setattr(dynamics, "step", counting_step)
+    assert run_cli("revival", "--coin", "grover", "--init", "origin_symmetric",
+                   "--tmax", 7, "--out", tmp_path) == 0
+    assert len(calls) == 7
+
+
 def test_revival_of_negative_eigenstate_recovers_phase(tmp_path, capsys):
     assert run_cli("revival", "--coin", "grover", "--init", "psi2", "--tmax", 5,
                    "--out", tmp_path) == 0
@@ -221,6 +235,10 @@ def test_unknown_initial_state_is_a_config_error(tmp_path, capsys):
 
 def test_bad_tolerance_is_a_config_error(tmp_path, capsys):
     assert run_cli("spectrum", "--coin", "grover", "--tol", "0.5", "--out", tmp_path) == 2
+    assert run_cli("revival", "--coin", "grover", "--init", "revival", "--tmax", 4,
+                   "--tol", "0.5", "--out", tmp_path) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_lambda_syntax_is_a_config_error(tmp_path, capsys):

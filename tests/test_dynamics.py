@@ -241,6 +241,58 @@ def test_step_is_linear(rng):
     assert amp_diff(lhs, rhs) < 1e-13
 
 
+def test_step_rejects_sites_past_the_coordinate_limit():
+    # the identity coin sends each component straight off the edge it sits on
+    identity = CoinOperator(np.eye(4))
+    edge = 2**30 - 1
+    for point, component in (((edge, 0), "R"), ((-edge, 0), "L"),
+                              ((0, edge), "U"), ((0, -edge), "D")):
+        with pytest.raises(ValueError, match="coordinates"):
+            step(make_basis_state(point, component), identity)
+    inward = step(make_basis_state((edge, 0), "L"), identity)
+    assert inward.points == [(edge - 1, 0)]
+
+
+def _random_input(seed, points):
+    """A Haar coin and a normalized state on ``points``, both from ``seed``."""
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng)
+    state = PositionState(
+        {p: rng.normal(size=4) + 1j * rng.normal(size=4) for p in sorted(points)}
+    )
+    return coin, superpose([(1.0 / state.norm(), state)])
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_POINTS = st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=_SEEDS, points=_POINTS)
+def test_step_keeps_the_norm_for_random_coins(seed, points):
+    coin, state = _random_input(seed, points)
+    assert abs(step(state, coin).norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=_SEEDS, points=_POINTS, other=_POINTS,
+       a=st.complex_numbers(max_magnitude=10), b=st.complex_numbers(max_magnitude=10))
+def test_step_is_linear_for_random_coins(seed, points, other, a, b):
+    coin, x = _random_input(seed, points)
+    _, y = _random_input(seed + 1, other)
+    lhs = step(superpose([(a, x), (b, y)]), coin)
+    rhs = superpose([(a, step(x, coin)), (b, step(y, coin))])
+    assert amp_diff(lhs, rhs) <= 1e-12 * (1 + abs(a) + abs(b))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=_SEEDS, points=_POINTS,
+       offset=st.tuples(st.integers(-(2**29), 2**29), st.integers(-(2**29), 2**29)))
+def test_step_commutes_with_translate_for_random_coins(seed, points, offset):
+    coin, state = _random_input(seed, points)
+    assert step(state.translate(offset), coin) == step(state, coin).translate(offset)
+
+
 def test_support_stays_on_parity_diamond():
     state = make_basis_state((0, 0), CoinComponent.U)
     coin = builtin_coin("grover")

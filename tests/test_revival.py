@@ -23,6 +23,7 @@ from qwalk2d import (
     step,
     superpose,
 )
+from qwalk2d.cli import main
 
 from conftest import amp_diff
 
@@ -187,10 +188,13 @@ def test_detect_period_validates_input():
         detect_period(revival_state(), grover, 0)
     with pytest.raises(ValueError):
         detect_period(PositionState({(0, 0): (1, 1, 0, 0)}), grover, 5)
+    with pytest.raises(ValueError, match="tolerance"):
+        detect_period(revival_state(), grover, 5, tolerance=0.5)
 
 
 def test_revival_report_json():
     payload = detect_period(revival_state(), builtin_coin("grover"), 4, 1e-10).to_json_dict()
+    assert set(payload) == {"period", "tolerance", "fidelity_series", "phase"}
     assert payload["period"] == 2
     assert payload["phase"]["re"] == pytest.approx(1.0, abs=1e-12)
     assert len(payload["fidelity_series"]) == 4
@@ -214,9 +218,17 @@ def test_return_probability_matches_reference_run():
     np.testing.assert_allclose(series, fixture["grover_p0"][:61], atol=1e-12)
 
 
-def test_return_probability_requires_origin_support():
-    with pytest.raises(ValueError, match="origin"):
-        return_probability_series(revival_state(), builtin_coin("grover"), 5)
+def test_return_probability_has_one_definition_for_any_start(tmp_path):
+    # the revival state starts off the origin and visits it on odd steps
+    grover = builtin_coin("grover")
+    expected = [0.0, 0.5, 0.0, 0.5, 0.0]
+    assert main(["revival", "--coin", "grover", "--init", "revival", "--tmax", "4",
+                 "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "return_probability.csv").read_text().splitlines()[1:]
+    from_cli = [float(row.split(",")[1]) for row in rows]
+    from_series = return_probability_series(revival_state(), grover, 4)
+    from_report = list(detect_period(revival_state(), grover, 4).return_probability)
+    assert from_cli == from_series == from_report == expected
 
 
 def test_return_probability_odd_steps_are_parity_blocked():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
     CoinComponent,
@@ -182,6 +183,20 @@ def test_states_are_immutable():
 def test_csv_roundtrip_is_exact(tmp_path, rng):
     state = random_state(rng, n_sites=10, span=20, normalized=False)
     path = tmp_path / "state.csv"
+    save_state(state, path)
+    assert load_state(path) == state
+
+
+_COORDS = st.integers(-(2**30) + 1, 2**30 - 1)
+_AMPLITUDES = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.dictionaries(st.tuples(_COORDS, _COORDS), st.lists(_AMPLITUDES, min_size=4, max_size=4),
+                       max_size=8))
+def test_csv_roundtrip_is_exact_for_any_finite_state(tmp_path_factory, amplitudes):
+    state = PositionState(amplitudes)
+    path = tmp_path_factory.mktemp("roundtrip") / "state.csv"
     save_state(state, path)
     assert load_state(path) == state
 
