@@ -6,8 +6,22 @@ coin matrix and then moves each direction component one site: R to
 unitary, so norms are preserved up to rounding, and it raises ValueError
 rather than move a site past the coordinate limit of the state encoding.
 
+The step runs on dense windows: a window is an origin (m0, n0) and a
+component-major (4, H, W) array over the bounding box of its occupied
+sites.  One step is ``C @ grid.reshape(4, -1)`` followed by four slice
+copies into a zeroed (4, H+2, W+2) array, after which border rows and
+columns that are all zero are trimmed, so a stationary or localized state
+keeps a small window.  :class:`PositionState` stays the input and output
+type; states are converted to windows and back only at the boundaries.
+Before a walk of t steps the support is split, along m and along n, at
+every gap wider than 2t + 1: sites on either side of such a gap can never
+meet, so each group walks in its own window and their union is exact.
+Memory grows with the bounding box of each group, so a group that is wide
+but sparse (say, sites spread along a diagonal with no wide gap) costs its
+full box.
+
 ``_trajectory`` is the package's only time-stepping loop: :func:`evolve`
-and the revival scans in :mod:`qwalk2d.revival` all consume the states it
+and the revival scans in :mod:`qwalk2d.revival` all consume the windows it
 yields, so each of them walks the lattice once.
 
 The same step can be run in the momentum picture on an even-sized periodic
@@ -19,7 +33,9 @@ unless ``span + 2*steps <= lattice_size``, so the wavefront cannot wrap
 around the box.
 """
 
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,10 +62,11 @@ UNITARITY_TOL = 1e-12
 # back to the sparse representation
 MOMENTUM_DROP_TOL = 1e-14
 
-# key increments realizing the displacement of each component (R, L, U, D)
-_SHIFT_KEYS = np.array([_KEY_BASE, -_KEY_BASE, 1, -1], dtype=np.int64)
-
 BUILTIN_COIN_NAMES = ("grover", "hadamard4", "dft4", "swap")
+
+# sites per band of the coin multiply in the window step, a size that keeps
+# the band's product in cache
+_BAND_SITES = 4096
 
 
 class CoinError(Exception):
@@ -153,56 +170,178 @@ def apply_coin(state: PositionState, coin: CoinOperator) -> PositionState:
     return PositionState._from_sorted(state._keys, state._amps @ coin.matrix.T)
 
 
+class _Window(NamedTuple):
+    """Amplitudes ``grid[c, m - m0, n - n0]`` on a box of the lattice."""
+
+    m0: int
+    n0: int
+    grid: np.ndarray  # (4, H, W) complex, component-major
+
+
+def _groups(m, n, gap):
+    """Index arrays of the sites, split at every coordinate gap wider than ``gap``.
+
+    A group is split along m or along n and its parts are split again,
+    until no group has such a gap along either axis.
+    """
+    pending = [np.arange(m.size)] if m.size else []
+    while pending:
+        group = pending.pop()
+        for coord in (m[group], n[group]):
+            order = np.argsort(coord, kind="stable")
+            cuts = np.flatnonzero(np.diff(coord[order]) > gap) + 1
+            if cuts.size:
+                pending.extend(np.split(group[order], cuts))
+                break
+        else:
+            yield group
+
+
+def _to_windows(state: PositionState, steps: int) -> list[_Window]:
+    """``state`` as windows, one per group of sites that ``steps`` steps cannot join."""
+    m, n = _decode(state._keys)
+    windows = []
+    for group in _groups(m, n, 2 * steps + 1):
+        gm, gn = m[group], n[group]
+        m0, n0 = int(gm.min()), int(gn.min())
+        grid = np.zeros((4, int(gm.max()) - m0 + 1, int(gn.max()) - n0 + 1), dtype=complex)
+        grid[:, gm - m0, gn - n0] = state._amps[group].T
+        windows.append(_Window(m0, n0, grid))
+    return windows
+
+
+def _grid_sites(m0, n0, grid):
+    """Sorted keys and amplitudes of the occupied sites of ``grid[c, m - m0, n - n0]``.
+
+    Zero components come out as +0.  Raises ValueError if an occupied site
+    lies past the coordinate limit.
+    """
+    width = grid.shape[2]
+    flat = grid.reshape(4, -1).T
+    keep = np.flatnonzero(flat.any(axis=1))
+    amps = flat[keep]
+    amps[amps == 0] = 0
+    m = keep // width + m0
+    n = keep % width + n0
+    _check_coords(m, n)
+    # box indices ascend lexicographically, so the keys are already sorted
+    return m * _KEY_BASE + n, amps
+
+
+def _to_state(windows: list[_Window]) -> PositionState:
+    """The state the windows hold together (their supports are disjoint)."""
+    if not windows:
+        return PositionState()
+    keys, amps = zip(*(_grid_sites(*window) for window in windows))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    return PositionState._from_sorted(keys[order], np.concatenate(amps)[order])
+
+
+def _trim(m0: int, n0: int, grid: np.ndarray) -> list[_Window]:
+    """The window at (m0, n0) cut to the bounding box of its occupied sites.
+
+    Returns a list of one window, or of none if no amplitude is left.
+    Raises ValueError if an occupied site lies past the coordinate limit.
+    """
+    top, bottom, left, right = 0, grid.shape[1], 0, grid.shape[2]
+    while top < bottom and not grid[:, top].any():
+        top += 1
+    while bottom > top and not grid[:, bottom - 1].any():
+        bottom -= 1
+    if top == bottom:
+        return []
+    while not grid[:, top:bottom, left].any():
+        left += 1
+    while not grid[:, top:bottom, right - 1].any():
+        right -= 1
+    m0, n0 = m0 + top, n0 + left
+    # the trimmed box's corners bound every occupied site
+    _check_coords((m0, m0 + bottom - top - 1), (n0, n0 + right - left - 1))
+    return [_Window(m0, n0, grid[:, top:bottom, left:right])]
+
+
+def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
+    """One walk step of every window: ``C @ grid``, then the shift, then the trim.
+
+    The coin multiply runs over bands of rows that fit in cache, and each
+    band is shifted into place as soon as it is done.  A band is a whole
+    number of 8-row blocks, so every band but the last holds a multiple of
+    8 sites and BLAS rounds each site as in one product over the window.
+    """
+    stepped = []
+    for m0, n0, grid in windows:
+        _, height, width = grid.shape
+        out = np.zeros((4, height + 2, width + 2), dtype=complex)
+        band = 8 * max(1, _BAND_SITES // width)
+        for top in range(0, height, band):
+            rows = coin.matrix @ grid[:, top : top + band].reshape(4, -1)
+            rows = rows.reshape(4, -1, width)
+            end = top + rows.shape[1]
+            out[0, top + 2 : end + 2, 1:-1] = rows[0]  # R: m + 1
+            out[1, top:end, 1:-1] = rows[1]  # L: m - 1
+            out[2, top + 1 : end + 1, 2:] = rows[2]  # U: n + 1
+            out[3, top + 1 : end + 1, :-2] = rows[3]  # D: n - 1
+        stepped += _trim(m0 - 1, n0 - 1, out)
+    return stepped
+
+
+def _amplitudes(windows: list[_Window], points: np.ndarray) -> np.ndarray:
+    """The (len(points), 4) amplitudes at the (m, n) rows of ``points``."""
+    out = np.zeros((len(points), 4), dtype=complex)
+    for m0, n0, grid in windows:
+        i = points[:, 0] - m0
+        j = points[:, 1] - n0
+        inside = (i >= 0) & (i < grid.shape[1]) & (j >= 0) & (j < grid.shape[2])
+        out[inside] = grid[:, i[inside], j[inside]].T
+    return out
+
+
+def _norm(windows: list[_Window]) -> float:
+    """Euclidean norm over every window."""
+    # one BLAS dot per component plane, a view unless columns were trimmed
+    return math.sqrt(sum(np.vdot(g, g).real for _, _, grid in windows for g in grid))
+
+
+_IDENTITY = CoinOperator(np.eye(4), name="identity")
+
+
 def apply_shift(state: PositionState) -> PositionState:
     """Move each direction component one site along its direction.
 
-    Raises ValueError if a site would leave the range of lattice
-    coordinates that states can encode.
+    This is the walk step with the identity coin.  Raises ValueError if a
+    site would leave the range of lattice coordinates that states can
+    encode.
     """
-    if state.n_sites == 0:
-        return state
-    shifted_keys = []
-    shifted_vals = []
-    for c in range(4):
-        col = state._amps[:, c]
-        mask = col != 0
-        shifted_keys.append(state._keys[mask] + _SHIFT_KEYS[c])
-        shifted_vals.append(col[mask])
-    out_keys = np.unique(np.concatenate(shifted_keys))
-    _check_coords(*_decode(out_keys))
-    out = np.zeros((out_keys.size, 4), dtype=complex)
-    for c in range(4):
-        # within one component the displacement is injective, so plain
-        # assignment is enough
-        out[np.searchsorted(out_keys, shifted_keys[c]), c] = shifted_vals[c]
-    return PositionState._from_sorted(out_keys, out)
+    return step(state, _IDENTITY)
 
 
 def step(state: PositionState, coin: CoinOperator) -> PositionState:
     """One walk step: coin flip followed by the conditional displacement."""
-    return apply_shift(apply_coin(state, coin))
+    return _to_state(_step_windows(_to_windows(state, 1), coin))
 
 
 def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
-    """Yield the state after 0, 1, ..., ``steps`` walk steps.
+    """Yield the walked state, as windows, after 0, 1, ..., ``steps`` steps.
 
     Raises ValueError for a negative step count when iteration starts.
-    ``step`` is called through the module global, so a wrapper installed
-    on ``dynamics.step`` sees every step.
+    ``_step_windows`` is called through the module global, so a wrapper
+    installed on ``dynamics._step_windows`` sees every step.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    yield state
+    windows = _to_windows(state, int(steps))
+    yield windows
     for _ in range(int(steps)):
-        state = step(state, coin)
-        yield state
+        windows = _step_windows(windows, coin)
+        yield windows
 
 
 def evolve(state: PositionState, coin: CoinOperator, steps: int) -> PositionState:
-    """Apply ``steps`` walk steps (0 returns the input unchanged)."""
-    for state in _trajectory(state, coin, steps):
+    """Apply ``steps`` walk steps (0 returns an equal state)."""
+    for windows in _trajectory(state, coin, steps):
         pass
-    return state
+    return _to_state(windows)
 
 
 def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
@@ -236,7 +375,8 @@ def evolve_momentum(
     axis.  Resulting amplitudes below 1e-14 are dropped.
 
     Raises ValueError for a negative step count, an odd or nonpositive box
-    size, or a box too small for the wavefront.
+    size, a box too small for the wavefront, or a result with a site past
+    the coordinate limit.
     """
     steps = int(steps)
     size = int(lattice_size)
@@ -268,10 +408,6 @@ def evolve_momentum(
     vectors = powered @ np.moveaxis(momentum, 0, -1)[..., None]
     grid = np.fft.ifft2(np.moveaxis(vectors[..., 0], -1, 0), axes=(1, 2))
 
-    flat = grid.reshape(4, -1).T
-    flat = np.where(np.abs(flat) < MOMENTUM_DROP_TOL, 0, flat)
-    keep = np.flatnonzero(np.any(flat != 0, axis=1))
-    m = keep // size + origin[0]
-    n = keep % size + origin[1]
-    # box indices ascend lexicographically, so the keys are already sorted
-    return PositionState._from_sorted(m * _KEY_BASE + n, flat[keep])
+    grid[np.abs(grid) < MOMENTUM_DROP_TOL] = 0
+    keys, amps = _grid_sites(int(origin[0]), int(origin[1]), grid)
+    return PositionState._from_sorted(keys, amps)

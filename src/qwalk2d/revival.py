@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoinOperator, _trajectory
+from .dynamics import CoinOperator, _amplitudes, _norm, _trajectory
 from .spectral import _check_tolerance
-from .states import (
-    LatticePoint,
-    PositionState,
-    _require_normalized,
-    fidelity,
-    inner_product,
-)
+from .states import LatticePoint, PositionState, _check_norm, _require_normalized
 
 __all__ = [
     "RevivalReport",
@@ -191,8 +185,11 @@ class RevivalReport:
         }
 
 
-def _origin_probability(state: PositionState) -> float:
-    vec = state.amplitude((0, 0))
+_ORIGIN = np.zeros((1, 2), dtype=np.int64)
+
+
+def _origin_probability(windows) -> float:
+    vec = _amplitudes(windows, _ORIGIN)[0]
     return float(np.sum(np.abs(vec) ** 2))
 
 
@@ -205,24 +202,32 @@ def detect_period(
     global phase; the recovered phase is reported separately.  Both series
     are always recorded out to ``t_max``, even past a detected revival.
     Raises ValueError for an unnormalized start, ``t_max < 1``, or a
-    tolerance outside [1e-12, 1e-4].
+    tolerance outside [1e-12, 1e-4], and, as :func:`qwalk2d.fidelity`
+    would, if the walked state drifts off norm 1 by more than 1e-9.
     """
     _require_normalized(initial, "detect_period")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     _check_tolerance(tolerance)
+    points = np.array(initial.points, dtype=np.int64)
     trajectory = _trajectory(initial, coin, t_max)
     returns = [_origin_probability(next(trajectory))]
     series = []
     period = None
     phase = None
-    for t, state in enumerate(trajectory, start=1):
-        returns.append(_origin_probability(state))
-        overlap = fidelity(state, initial)
-        series.append(overlap)
-        if period is None and overlap >= 1.0 - tolerance:
+    for t, windows in enumerate(trajectory, start=1):
+        returns.append(_origin_probability(windows))
+        # states are immutable, so ``initial`` keeps the norm checked above
+        _check_norm(_norm(windows), "fidelity")
+        here = _amplitudes(windows, points)
+        # <initial|state> over the sites both occupy, as inner_product sums it
+        both = here.any(axis=1)
+        overlap = complex(np.sum(initial._amps[both].conj() * here[both]))
+        fidelity = min(1.0, abs(overlap) ** 2)
+        series.append(fidelity)
+        if period is None and fidelity >= 1.0 - tolerance:
             period = t
-            phase = inner_product(initial, state)
+            phase = overlap
     return RevivalReport(
         period=period,
         fidelity_series=tuple(series),
@@ -243,4 +248,4 @@ def return_probability_series(
     partially trapped); generic coins let it decay toward zero.
     """
     _require_normalized(initial, "return_probability_series")
-    return [_origin_probability(state) for state in _trajectory(initial, coin, t_max)]
+    return [_origin_probability(windows) for windows in _trajectory(initial, coin, t_max)]

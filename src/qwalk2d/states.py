@@ -181,8 +181,12 @@ class PositionState:
 
 
 def _require_normalized(state, what):
-    if abs(state.norm() - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{what} requires a normalized state (norm={state.norm()!r})")
+    _check_norm(state.norm(), what)
+
+
+def _check_norm(norm, what):
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"{what} requires a normalized state (norm={norm!r})")
 
 
 def make_basis_state(point: LatticePoint, component) -> PositionState:
@@ -239,15 +243,12 @@ def fidelity(a: PositionState, b: PositionState) -> float:
 def save_state(state: PositionState, path) -> None:
     """Write a state to CSV (see the module docstring for the format)."""
     m, n = _decode(state._keys)
+    # per row: re_R, im_R, re_L, im_L, re_U, im_U, re_D, im_D
+    parts = np.ascontiguousarray(state._amps).view(float)
+    row = "%d,%d," + ",".join(["%.17g"] * 8) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(STATE_CSV_HEADER + "\n")
-        for i in range(state._keys.size):
-            row = state._amps[i]
-            fields = [str(int(m[i])), str(int(n[i]))]
-            for c in range(4):
-                fields.append(f"{row[c].real:.17g}")
-                fields.append(f"{row[c].imag:.17g}")
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(row % fields for fields in zip(m.tolist(), n.tolist(), *parts.T.tolist()))
 
 
 def load_state(path) -> PositionState:

@@ -164,13 +164,13 @@ def test_revival_command_reports_period_two(tmp_path, capsys):
 
 def test_revival_command_walks_once(tmp_path, capsys, monkeypatch):
     calls = []
-    original = dynamics.step
+    original = dynamics._step_windows
 
-    def counting_step(state, coin):
+    def counting_step(windows, coin):
         calls.append(1)
-        return original(state, coin)
+        return original(windows, coin)
 
-    monkeypatch.setattr(dynamics, "step", counting_step)
+    monkeypatch.setattr(dynamics, "_step_windows", counting_step)
     assert run_cli("revival", "--coin", "grover", "--init", "origin_symmetric",
                    "--tmax", 7, "--out", tmp_path) == 0
     assert len(calls) == 7

@@ -1,6 +1,7 @@
 """Coins, the walk step, direct evolution, and the momentum-picture path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,11 @@ from qwalk2d import (
     step,
     superpose,
 )
-from qwalk2d.revival import grover_stationary_states, revival_state
+from qwalk2d.revival import (
+    grover_stationary_states,
+    return_probability_series,
+    revival_state,
+)
 
 from conftest import amp_diff, random_state
 
@@ -264,7 +269,14 @@ def _random_input(seed, points):
 
 
 _SEEDS = st.integers(0, 2**32 - 1)
-_POINTS = st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8)
+_CLUSTER = st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8)
+# one compact cluster, or two with the second moved far away (up to 2^28)
+_POINTS = st.one_of(
+    _CLUSTER,
+    st.tuples(
+        _CLUSTER, _CLUSTER, st.integers(20, 2**28), st.integers(-(2**28), 2**28)
+    ).map(lambda c: c[0] | {(m + c[2], n + c[3]) for m, n in c[1]}),
+)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -291,6 +303,79 @@ def test_step_is_linear_for_random_coins(seed, points, other, a, b):
 def test_step_commutes_with_translate_for_random_coins(seed, points, offset):
     coin, state = _random_input(seed, points)
     assert step(state.translate(offset), coin) == step(state, coin).translate(offset)
+
+
+def _dict_walk(amplitudes, matrix, steps):
+    """The walk on a plain dict {(m, n): [R, L, U, D]}, one site at a time."""
+    moves = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    for _ in range(steps):
+        out = {}
+        for (m, n), vec in amplitudes.items():
+            for c, (dm, dn) in enumerate(moves):
+                entry = out.setdefault((m + dm, n + dn), [0j] * 4)
+                entry[c] += sum(matrix[c][k] * vec[k] for k in range(4))
+        amplitudes = out
+    return amplitudes
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=_SEEDS, points=_CLUSTER, steps=st.integers(0, 12))
+def test_evolve_matches_a_plain_dict_walk(seed, points, steps):
+    coin, state = _random_input(seed, points)
+    matrix = coin.matrix.tolist()
+    start = {point: vec.tolist() for point, vec in state.items()}
+    expected = _dict_walk(start, matrix, steps)
+    out = evolve(state, coin, steps)
+    for point in set(expected) | set(out.points):
+        want = expected.get(point, [0j] * 4)
+        assert np.abs(out.amplitude(point) - want).max() <= 1e-13
+
+
+def _peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_stationary_state_walks_in_a_small_window():
+    # trimming keeps the window on the four sites instead of the light cone
+    plus, _ = grover_stationary_states()
+    out, peak = _peak_bytes(evolve, plus, builtin_coin("grover"), 1000)
+    assert out == plus
+    assert peak < 64 * 1024
+
+
+def test_far_apart_sites_walk_in_separate_windows(rng):
+    # one window over both sites would span 2^29 rows and columns
+    coin = random_coin(rng)
+    near = PositionState({(0, 0): (0.5, 0.5j, -0.5, 0.5)})
+    far = PositionState({(2**29, 2**29): (0.1, 0.7, -0.1j, 0.7)})
+    both = superpose([(1.0, near), (1.0, far)])
+    one_step, peak = _peak_bytes(step, both, coin)
+    assert one_step == superpose([(1.0, step(near, coin)), (1.0, step(far, coin))])
+    assert peak < 8 * 2**20
+    walked, peak = _peak_bytes(evolve, both, coin, 50)
+    assert walked == superpose([(1.0, evolve(near, coin, 50)), (1.0, evolve(far, coin, 50))])
+    assert peak < 8 * 2**20
+
+
+def test_walks_stop_at_the_coordinate_limit():
+    identity = CoinOperator(np.eye(4))
+    start = make_basis_state((2**30 - 3, 0), "R")
+    assert evolve(start, identity, 2).points == [(2**30 - 1, 0)]
+    with pytest.raises(ValueError, match="coordinates"):
+        evolve(start, identity, 3)
+    # a scan that never converts back to a state stops at the same step
+    assert return_probability_series(start, identity, 2) == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="coordinates"):
+        return_probability_series(start, identity, 3)
+    with pytest.raises(ValueError, match="coordinates"):
+        evolve_momentum(make_basis_state((2**30 - 1, 0), "R"), identity, 1, 4)
 
 
 def test_support_stays_on_parity_diamond():

@@ -211,6 +211,24 @@ def test_csv_rows_are_lexicographically_ordered(tmp_path):
     assert points == sorted(points)
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    # signed zeros, the smallest subnormal, a huge value and the widest
+    # coordinates all keep their exact text
+    edge = 2**30 - 1
+    state = PositionState({
+        (-edge, edge): (complex(-0.0, 5e-324), 1e300, complex(0.1, -0.0), -2.5e-10j),
+        (edge, -edge): (0.5, 0, complex(-1e-300, 1 / 3), 0),
+    })
+    path = tmp_path / "golden.csv"
+    save_state(state, path)
+    assert path.read_bytes() == (
+        b"m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n"
+        b"-1073741823,1073741823,-0,4.9406564584124654e-324,1.0000000000000001e+300,0,"
+        b"0.10000000000000001,-0,-0,-2.5000000000000002e-10\n"
+        b"1073741823,-1073741823,0.5,0,0,0,-1e-300,0.33333333333333331,0,0\n"
+    )
+
+
 def test_csv_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("m,n,whatever\n0,0,1\n")
