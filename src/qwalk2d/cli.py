@@ -25,6 +25,7 @@ from .spectral import char_poly_profile, detect_constant_eigenvalues
 from .states import (
     CoinComponent,
     PositionState,
+    _require_normalized,
     fidelity,
     load_state,
     make_basis_state,
@@ -73,12 +74,8 @@ def _resolve_initial(spec: str) -> PositionState:
         return make_basis_state((0, 0), component)
     path = Path(spec)
     if path.exists():
-        try:
-            state = load_state(path)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if abs(state.norm() - 1.0) > 1e-9:
-            raise ConfigError(f"initial state in {spec} is not normalized")
+        state = load_state(path)  # a ValueError is a configuration error in main
+        _require_normalized(state, f"--init {spec}")
         return state
     raise ConfigError(
         f"unknown initial state {spec!r}: not a built-in "

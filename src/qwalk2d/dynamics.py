@@ -8,9 +8,11 @@ rather than move a site past the coordinate limit of the state encoding.
 
 The step runs on dense windows: a window is an origin (m0, n0) and a
 component-major (4, H, W) array over the bounding box of its occupied
-sites.  One step is ``C @ grid.reshape(4, -1)`` followed by four slice
-copies into a zeroed (4, H+2, W+2) array, after which border rows and
-columns that are all zero are trimmed, so a stationary or localized state
+sites.  One step is ``C @ grid.reshape(4, -1)`` followed by
+``_shift_into``, four slice copies into a zeroed (4, H+2, W+2) array and
+the package's one encoding of the R/L/U/D moves (the finite-support
+search in :mod:`qwalk2d.revival` uses it too).  Border rows and columns
+that are all zero are then trimmed, so a stationary or localized state
 keeps a small window.  :class:`PositionState` stays the input and output
 type; states are converted to windows and back only at the boundaries.
 Before a walk of t steps the support is split, along m and along n, at
@@ -261,6 +263,18 @@ def _trim(m0: int, n0: int, grid: np.ndarray) -> list[_Window]:
     return [_Window(m0, n0, grid[:, top:bottom, left:right])]
 
 
+def _shift_into(out: np.ndarray, rows: np.ndarray) -> None:
+    """Move each component of ``rows`` (..., 4, H, W) one site into ``out``.
+
+    ``out`` (..., 4, H+2, W+2) is the box padded by one site on each side;
+    leading axes are a batch.  This is the package's one copy of the shift.
+    """
+    out[..., 0, 2:, 1:-1] = rows[..., 0, :, :]  # R: m + 1
+    out[..., 1, :-2, 1:-1] = rows[..., 1, :, :]  # L: m - 1
+    out[..., 2, 1:-1, 2:] = rows[..., 2, :, :]  # U: n + 1
+    out[..., 3, 1:-1, :-2] = rows[..., 3, :, :]  # D: n - 1
+
+
 def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
     """One walk step of every window: ``C @ grid``, then the shift, then the trim.
 
@@ -277,11 +291,7 @@ def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
         for top in range(0, height, band):
             rows = coin.matrix @ grid[:, top : top + band].reshape(4, -1)
             rows = rows.reshape(4, -1, width)
-            end = top + rows.shape[1]
-            out[0, top + 2 : end + 2, 1:-1] = rows[0]  # R: m + 1
-            out[1, top:end, 1:-1] = rows[1]  # L: m - 1
-            out[2, top + 1 : end + 1, 2:] = rows[2]  # U: n + 1
-            out[3, top + 1 : end + 1, :-2] = rows[3]  # D: n - 1
+            _shift_into(out[:, top : top + rows.shape[1] + 2], rows)
         stepped += _trim(m0 - 1, n0 - 1, out)
     return stepped
 

@@ -7,7 +7,9 @@ configurations, an exact two-step revival.  This module constructs those
 states in closed form, searches for finite-support eigenstates of
 arbitrary coins by solving a box-restricted eigenproblem, and reads two
 observables off one walk: the fidelity to the initial state, whose first
-return to 1 is the revival period, and the return probability.
+return to 1 is the revival period, and the return probability.  The
+search builds its eigen-equation with the walk's own shift and reads its
+null vectors back as boxes, as the walk does.
 
 The return probability after t steps is the probability of finding the
 walker at the lattice origin (0, 0), coin components traced out, for any
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoinOperator, _amplitudes, _norm, _trajectory
+from .dynamics import CoinOperator, _amplitudes, _grid_sites, _norm, _shift_into, _trajectory
 from .spectral import _check_tolerance
 from .states import LatticePoint, PositionState, _check_norm, _require_normalized
 
@@ -38,8 +40,6 @@ __all__ = [
 # singular values at or below this fraction of the largest one count as
 # null directions in the finite-support search
 NULL_SPACE_RTOL = 1e-10
-
-_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def grover_stationary_states() -> tuple[PositionState, PositionState]:
@@ -114,44 +114,35 @@ def find_local_stationary_states(
     exists; the eigenvalue must have unit modulus (within 1e-10).
     """
     eigenvalue = complex(eigenvalue)
-    if abs(abs(eigenvalue) - 1.0) > 1e-10:
+    if not abs(abs(eigenvalue) - 1.0) <= 1e-10:
         raise ValueError(f"eigenvalue must have unit modulus, got |{eigenvalue}|")
     if box_size < 1:
         raise ValueError("box_size must be at least 1")
 
     s = int(box_size)
     m0, n0 = int(origin[0]), int(origin[1])
-    padded = s + 2
-
-    def row_index(m, n, c):
-        return 4 * ((m - m0 + 1) * padded + (n - n0 + 1)) + c
-
-    matrix = np.zeros((4 * padded * padded, 4 * s * s), dtype=complex)
-    col = 0
-    for m in range(m0, m0 + s):
-        for n in range(n0, n0 + s):
-            for c in range(4):
-                for cp, (dm, dn) in enumerate(_MOVES):
-                    matrix[row_index(m + dm, n + dn, cp), col] += coin.matrix[cp, c]
-                matrix[row_index(m, n, c), col] -= eigenvalue
-                col += 1
+    # column b is the basis state at box site (i, j), component c, in
+    # (i, j, c) order; its step lands in the box padded by one site
+    b = np.arange(4 * s * s)
+    i, j, c = np.unravel_index(b, (s, s, 4))
+    coined = np.zeros((b.size, 4, s, s), dtype=complex)
+    coined[b, :, i, j] = coin.matrix.T[c]
+    image = np.zeros((b.size, 4, s + 2, s + 2), dtype=complex)
+    _shift_into(image, coined)
+    image[b, c, i + 1, j + 1] -= eigenvalue
+    # rows in (m, n, component) order over the padded box
+    matrix = image.transpose(2, 3, 1, 0).reshape(-1, b.size)
+    del coined, image  # free them before the SVD, the memory peak
 
     _, singular, vh = np.linalg.svd(matrix)
     null_rows = vh[singular <= NULL_SPACE_RTOL * singular[0]]
-
-    states = []
-    for vector in null_rows.conj():
-        grid = vector.reshape(s, s, 4)
-        amplitudes = {
-            (m0 + i, n0 + j): grid[i, j]
-            for i in range(s)
-            for j in range(s)
-            if np.any(grid[i, j] != 0)
-        }
-        states.append(PositionState(amplitudes))
+    states = tuple(
+        PositionState._from_sorted(*_grid_sites(m0, n0, grid))
+        for grid in null_rows.conj().reshape(-1, s, s, 4).transpose(0, 3, 1, 2)
+    )
     return StationaryStateSet(
         eigenvalue=eigenvalue,
-        states=tuple(states),
+        states=states,
         support=((m0, n0), (m0 + s - 1, n0 + s - 1)),
     )
 

@@ -228,6 +228,27 @@ def test_nan_initial_state_file_is_a_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_unnormalized_initial_state_file_is_a_config_error(tmp_path, capsys):
+    half = tmp_path / "half.csv"
+    half.write_text("m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n0,0,0.5,0,0,0,0,0,0,0\n")
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--coin", "grover", "--init", half,
+                   "--steps", 1, "--out", out) == 2
+    assert "normalized" in capsys.readouterr().err
+    assert run_cli("revival", "--coin", "grover", "--init", half,
+                   "--tmax", 4, "--out", out) == 2
+    assert "normalized" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_lambda_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("stationary", "--coin", "grover", "--lambda", "nan,0", "--box", 2,
+                   "--out", out) == 2
+    assert "eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_initial_state_is_a_config_error(tmp_path, capsys):
     assert run_cli("simulate", "--coin", "grover", "--init", "psi3",
                    "--steps", 1, "--out", tmp_path) == 2

@@ -1,0 +1,31 @@
+"""The package imports without scipy, which is not one of its dependencies."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_CHECK = """
+import importlib, pkgutil, sys
+import qwalk2d
+names = [info.name for info in pkgutil.iter_modules(qwalk2d.__path__, "qwalk2d.")]
+for name in names:
+    importlib.import_module(name)
+assert {"qwalk2d.cli", "qwalk2d.dynamics", "qwalk2d.revival"} <= set(names), names
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_and_every_submodule_import_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECK], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

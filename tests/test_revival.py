@@ -9,6 +9,7 @@ import pytest
 
 from qwalk2d import (
     CoinComponent,
+    CoinOperator,
     PositionState,
     builtin_coin,
     detect_constant_eigenvalues,
@@ -107,6 +108,31 @@ def test_search_validates_arguments():
         find_local_stationary_states(grover, 2.0, 2)
     with pytest.raises(ValueError):
         find_local_stationary_states(grover, 1.0, 0)
+    for eigenvalue in (complex(math.nan, 0.0), complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            find_local_stationary_states(grover, eigenvalue, 2)
+    with pytest.raises(ValueError, match="coordinates"):
+        find_local_stationary_states(grover, 1.0, 2, origin=(2**30 - 1, 0))
+
+
+def test_search_pins_the_shift_convention_with_an_asymmetric_coin():
+    # Grover and swap equal their transposes and are unchanged when R and L
+    # trade places; Grover conjugated by seeded diagonal phases is neither.
+    # Its walk is the Grover walk up to a local phase change, so
+    # +-(global phase) each have (s - 1)^2 eigenstates in an s x s box.
+    rng = np.random.default_rng(20240817)
+    phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    coin = CoinOperator(phase * phases @ builtin_coin("grover").matrix @ phases.conj())
+    for s in range(2, 6):
+        for eigenvalue in (phase, -phase):
+            found = find_local_stationary_states(coin, eigenvalue, s, origin=(3, -2))
+            assert len(found) == (s - 1) ** 2
+            for state in found.states:
+                assert all(3 <= m < 3 + s and -2 <= n < -2 + s for m, n in state.points)
+                assert eigen_residual(state, coin, eigenvalue) <= 1e-10
+            gram = np.array([[inner_product(a, b) for b in found.states] for a in found.states])
+            assert np.abs(gram - np.eye(len(found))).max() <= 1e-10
 
 
 def test_found_states_satisfy_the_eigen_contract(rng):
