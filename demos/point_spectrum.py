@@ -2,10 +2,13 @@
 
 The walk step acts at each momentum pair as a 4x4 unitary.  An eigenvalue
 that is the same at *every* momentum gives the position-space step a point
-spectrum: the source of stationary states and revivals.  The scan below
-reads candidates off one generic momentum cell and confirms them against a
-full grid.  Detected values always come in {+v, -v} pairs, and their count
-is never exactly three (the determinant ties the fourth eigenvalue down).
+spectrum: the source of stationary states and revivals.  The detection
+below takes its candidates in closed form, +-sqrt(mu) for the two roots mu
+of a quadratic in the coin's entries, and keeps those at which the
+characteristic polynomial vanishes on a full momentum grid; the residual
+column is the largest |p(v)| there.  Detected values always come in
+{+v, -v} pairs, and their count is never exactly three (the polynomial
+depends on v only through v^2).
 """
 
 import numpy as np
@@ -28,4 +31,4 @@ for coin in coins:
         print(f"{coin.name:16s} {'(none: empty point spectrum)':34s} {'-':8s} {'-':9s} -")
 
 print("\nthe swap coin freezes its entire spectrum -- its step squares to the")
-print("identity -- which is why the scan reports every value as constant.")
+print("identity -- which is why every value is reported as constant.")

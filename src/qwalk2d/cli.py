@@ -21,7 +21,7 @@ from .dynamics import (
     load_coin,
 )
 from .revival import detect_period, find_local_stationary_states, grover_stationary_states, revival_state
-from .spectral import char_poly_profile, detect_constant_eigenvalues
+from .spectral import _constant_eigenvalues, char_poly_profile
 from .states import (
     CoinComponent,
     PositionState,
@@ -130,8 +130,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     coin = _resolve_coin(args.coin)
-    report = detect_constant_eigenvalues(coin, args.grid, args.tol)
     profile = char_poly_profile(coin, args.grid)
+    report = _constant_eigenvalues(coin, profile, args.tol)
     out = _out_dir(args.out)
     _write_json(out / "spectrum.json", {**report.to_json_dict(), **profile.to_json_dict()})
     print(
@@ -147,6 +147,10 @@ def cmd_stationary(args: argparse.Namespace) -> int:
     coin = _resolve_coin(args.coin)
     found = find_local_stationary_states(coin, eigenvalue, args.box)
     out = _out_dir(args.out)
+    # files of an earlier, larger search would outlive this one's count
+    for old in out.glob("stationary_*.csv"):
+        if old.stem.removeprefix("stationary_").isdigit():
+            old.unlink()
     for i, state in enumerate(found.states):
         save_state(state, out / f"stationary_{i:02d}.csv")
     print(
@@ -190,7 +194,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--steps", type=int, required=True)
     simulate.add_argument("--out", type=Path, default=Path("."))
 
-    spectrum = sub.add_parser("spectrum", help="scan for constant eigenvalues")
+    spectrum = sub.add_parser(
+        "spectrum",
+        help="find constant eigenvalues in closed form and check them on a momentum grid",
+    )
     spectrum.add_argument("--coin", required=True)
     spectrum.add_argument("--grid", type=int, default=64)
     spectrum.add_argument("--tol", type=float, default=1e-8)

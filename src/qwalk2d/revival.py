@@ -17,6 +17,13 @@ normalized initial state; a walker that starts away from the origin
 starts with return probability 0.  :func:`detect_period` records it
 alongside the fidelity in a single pass over
 :func:`qwalk2d.dynamics._trajectory`.
+
+A revival period of at most 2 holds when the point spectrum is a single
+{+lambda, -lambda} pair, as it is for Grover: a state in those eigenspaces
+has U^2 = lambda^2 on it.  It is not universal.  A coin with four constant
+eigenvalues {+-sqrt(mu1), +-sqrt(mu2)} revives with a period set by the
+order of mu1/mu2: 4 for the 4-cycle coin R->U->L->D->R, 6 for (R + U)/sqrt(2)
+under a swap coin with C_DU = e^{2 pi i/3}, and never for an irrational phase.
 """
 
 from dataclasses import dataclass

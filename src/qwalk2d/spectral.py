@@ -1,19 +1,25 @@
 """Spectrum of the per-momentum step matrix of a four-state lattice walk.
 
 For a coin C the walk step acts at momentum (k, l) as the 4x4 unitary
+U = Diag(x, 1/x, y, 1/y) @ C with x = e^{ik}, y = e^{il}, which
+``dynamics._momentum_symbol`` builds, in this one sign convention, for
+this module and for the momentum-picture evolution alike.
 
-    Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C,
-
-which ``dynamics._momentum_symbol`` builds, in this one sign convention,
-for this module and for the momentum-picture evolution alike.
-
-Eigenvalues of this matrix that stay put across *all* momenta give the
+An eigenvalue that stays put across *all* momenta gives the
 position-space step a point spectrum, which is what makes finite
-non-spreading eigenstates and exact revivals possible.  This module
-samples the spectrum over momentum grids, detects such constant
-eigenvalues, and profiles the characteristic-polynomial coefficients
-(elementary symmetric functions of the eigenvalues) whose structure forces
-constant eigenvalues to come in {+lambda, -lambda} pairs.
+non-spreading eigenstates and exact revivals possible.  The
+characteristic polynomial p(lambda) = det(lambda - U) has frequencies in
+{-1, 0, 1}^2 only, with coefficients closed form in C: at 1,
+lambda^4 + e2_0 lambda^2 + det C with e2_0 = minor(R, L) + minor(U, D);
+at x, -lambda (C_RR lambda^2 + det C conj(C_LL)), with R and L swapped at
+1/x and U and D in their place at y and 1/y; at x^a y^b, lambda^2 times a
+cross minor C_ii C_jj - C_ij C_ji, i in {R, L}, j in {U, D}.  A constant
+eigenvalue is a lambda at which all nine vanish.  They depend on lambda
+only through mu = lambda^2, a root of the quadratic at 1, so constants
+come in {+lambda, -lambda} pairs, at most two pairs.  This module reads
+the candidates off that quadratic, confirms them on a momentum grid with
+no eigensolve, and profiles the coefficients e1..e4 (elementary
+symmetric functions of the eigenvalues) over the grid.
 """
 
 from dataclasses import dataclass
@@ -38,11 +44,6 @@ EIGENSYSTEM_UNITARITY_TOL = 1e-10
 # variance of the lambda^2 coefficient below which it counts as
 # momentum-independent
 C_ZERO_VARIANCE_TOL = 1e-10
-
-# the candidate-extraction cell sits at pi*(1.0, 1.7)/M: off the momentum
-# grid, off the k=0 and l=0 symmetry axes, and with an irrational-feeling
-# k:l ratio so degeneracies there are not systematic
-_SEED_FRACTIONS = (1.0, 1.7)
 
 # accepted decision tolerances, for this scan and for revival detection
 _TOLERANCE_RANGE = (1e-12, 1e-4)
@@ -78,27 +79,14 @@ def eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values[order], vectors[:, order]
 
 
-def _grid_momenta(grid_size: int) -> np.ndarray:
-    return 2 * np.pi * np.arange(grid_size) / grid_size
-
-
-def _cluster_by_value(values, tolerance):
-    """Group near-coincident complex values; returns (mean, count) pairs."""
-    order = np.argsort(np.mod(np.angle(values), 2 * np.pi), kind="stable")
-    clusters = []
-    for value in values[order]:
-        for members in clusters:
-            if abs(value - np.mean(members)) <= tolerance:
-                members.append(value)
-                break
-        else:
-            clusters.append([value])
-    return [(complex(np.mean(members)), len(members)) for members in clusters]
-
-
 @dataclass(frozen=True)
 class ConstantEigenvalue:
-    """One momentum-independent eigenvalue found by the grid scan."""
+    """One momentum-independent eigenvalue of the step matrix.
+
+    ``max_residual`` is the largest |p(value)| of the characteristic
+    polynomial over the momentum grid; ``multiplicity`` is the value's
+    multiplicity as an eigenvalue at a generic momentum.
+    """
 
     value: complex
     max_residual: float
@@ -111,8 +99,9 @@ class SpectrumReport:
 
     ``pairing_ok`` records whether every detected value has its negative
     detected too; ``four_constant`` flags coins whose entire spectrum is
-    momentum-independent (possible when the coin has zero diagonal, e.g.
-    the swap coin).
+    momentum-independent.  That happens exactly when the coin has zero
+    diagonal and C_RU C_UR = C_RD C_DR = C_LU C_UL = C_LD C_DL = 0, as for
+    the swap coin.
     """
 
     constants: tuple[ConstantEigenvalue, ...]
@@ -147,49 +136,55 @@ def detect_constant_eigenvalues(
 ) -> SpectrumReport:
     """Find eigenvalues of the momentum step matrix that never move.
 
-    Candidates are read off at a single generic seed cell and confirmed
-    against every cell of the M x M momentum grid: a candidate survives if
-    at each cell some eigenvalue lies within ``tolerance`` of it.  The
-    survivors' worst-case distances are reported as residuals.  For a true
-    constant eigenvalue the residual sits at rounding level, while for a
-    generic coin the candidates miss by O(1) a few cells away, so the
-    margin is enormous.
+    Candidates are +-sqrt(mu) for the roots mu of mu^2 + e2_0 mu + det C
+    (a double root if the discriminant is within ``tolerance`` of 0).  One
+    is kept if its worst |p(lambda)| on the M x M grid of
+    :func:`char_poly_profile`, its ``max_residual``, is within
+    ``tolerance``; the grid sees every frequency of p, so that worst value
+    is within a factor of 9 of the largest coefficient.  Constants are
+    simple unless the coin diagonal is zero, where a double root mu makes
+    both +-sqrt(mu) double.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
+    return _constant_eigenvalues(coin, char_poly_profile(coin, grid_size), tolerance)
+
+
+def _constant_eigenvalues(
+    coin: CoinOperator, profile: "CharPolyProfile", tolerance: float
+) -> SpectrumReport:
+    """:func:`detect_constant_eigenvalues` on an already computed profile."""
     _check_tolerance(tolerance)
-
-    seed = (np.pi * _SEED_FRACTIONS[0] / grid_size, np.pi * _SEED_FRACTIONS[1] / grid_size)
-    seed_values = np.linalg.eigvals(momentum_propagator(coin, seed))
-    candidates = _cluster_by_value(seed_values, tolerance)
-
-    momenta = _grid_momenta(grid_size)
-    # cheap pre-pass on a sub-grid: a candidate that already misses there
-    # cannot survive the full grid
-    coarse = momenta[:: max(1, grid_size // 8)]
-    coarse_values = np.linalg.eigvals(_momentum_symbol(coin, coarse, coarse))
-    candidates = [
-        (value, count)
-        for value, count in candidates
-        if np.abs(coarse_values - value).min(axis=-1).max() <= tolerance
-    ]
+    c = coin.matrix
+    e2_zero = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0] + c[2, 2] * c[3, 3] - c[2, 3] * c[3, 2]
+    disc = e2_zero**2 - 4 * profile.det_coin
+    if abs(disc) <= tolerance:
+        roots = [-e2_zero / 2]
+    else:
+        roots = [(-e2_zero + np.sqrt(disc)) / 2, (-e2_zero - np.sqrt(disc)) / 2]
+    # a nonzero diagonal entry C_ii makes the lambda-derivative of the
+    # x_i coefficient, -2 C_ii lambda^2, nonzero: every constant is simple
+    double = len(roots) == 1 and np.abs(np.diag(c)).max() <= tolerance
 
     constants = []
-    if candidates:
-        grid_values = np.linalg.eigvals(_momentum_symbol(coin, momenta, momenta))
-        for value, count in candidates:
-            residual = float(np.abs(grid_values - value).min(axis=-1).max())
+    for mu in roots:
+        for value in (np.sqrt(mu), -np.sqrt(mu)):
+            # Horner's rule, in place: one grid-sized temporary
+            p = value - profile.e1
+            p *= value
+            p += profile.e2
+            p *= value
+            p -= profile.e3
+            p *= value
+            p += profile.e4
+            residual = float(np.abs(p).max())
             if residual <= tolerance:
-                constants.append(ConstantEigenvalue(value, residual, count))
+                constants.append(ConstantEigenvalue(complex(value), residual, 2 if double else 1))
 
     constants.sort(key=lambda c: np.mod(np.angle(c.value), 2 * np.pi))
     values = [c.value for c in constants]
-    pairing_ok = all(
-        any(abs(v + other) <= tolerance for other in values) for v in values
-    )
+    pairing_ok = all(any(abs(v + w) <= tolerance for w in values) for v in values)
     return SpectrumReport(
         constants=tuple(constants),
-        grid_size=grid_size,
+        grid_size=profile.grid_size,
         tolerance=tolerance,
         pairing_ok=pairing_ok,
         four_constant=sum(c.multiplicity for c in constants) == 4,
@@ -257,7 +252,7 @@ def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfil
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    momenta = _grid_momenta(grid_size)
+    momenta = 2 * np.pi * np.arange(grid_size) / grid_size
     symbol = _momentum_symbol(coin, momenta, momenta)
     det_coin = complex(np.linalg.det(coin.matrix))
     e1 = np.trace(symbol, axis1=-2, axis2=-1)

@@ -11,16 +11,19 @@ from time import perf_counter
 import numpy as np
 
 from qwalk2d import (
+    CoinComponent,
     CoinOperator,
     PositionState,
     builtin_coin,
     char_poly_profile,
     detect_constant_eigenvalues,
+    detect_period,
     evolve,
     evolve_momentum,
     fidelity,
     find_local_stationary_states,
     grover_stationary_states,
+    make_basis_state,
     momentum_propagator,
     random_coin,
     return_probability_series,
@@ -33,6 +36,20 @@ from conftest import amp_diff, random_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GROVER = builtin_coin("grover")
+R, L, U, D = range(4)
+
+
+def permutation_coin(entries):
+    """A coin with the given nonzero entries, keyed (to, from)."""
+    matrix = np.zeros((4, 4), dtype=complex)
+    for index, value in entries.items():
+        matrix[index] = value
+    return CoinOperator(matrix)
+
+
+def phased_swap(phase):
+    """The swap coin with C_DU = phase: R and L trade places, U and D too."""
+    return permutation_coin({(L, R): 1, (R, L): 1, (D, U): phase, (U, D): 1})
 
 
 def report(number, name, ok, started):
@@ -200,3 +217,58 @@ def test_criterion_10_localization():
         and hadamard_series[-1] < 0.01
     )
     report(10, "localized return probability reproduces the reference run", ok, started)
+
+
+# The paper's "no period longer than two" holds when the point spectrum is
+# one {+lambda, -lambda} pair, as for Grover: a state in those eigenspaces
+# has U^2 = lambda^2 on it.  Coins with four constant eigenvalues
+# {+-sqrt(mu1), +-sqrt(mu2)} revive with the period set by the order of
+# mu1/mu2, or not at all.
+
+
+def test_criterion_11_four_cycle_coin_revives_with_period_four():
+    started = perf_counter()
+    coin = permutation_coin({(U, R): 1, (L, U): 1, (D, L): 1, (R, D): 1})  # R->U->L->D->R
+    found = detect_constant_eigenvalues(coin, 64, 1e-8)
+    expected = [1, 1j, -1, -1j]
+    rng = np.random.default_rng(1618)
+    box = {(m, n): rng.normal(size=4) + 1j * rng.normal(size=4) for m in range(3) for n in range(3)}
+    box_state = superpose([(1 / PositionState(box).norm(), PositionState(box))])
+    ok = (
+        found.four_constant
+        and len(found.constants) == 4
+        and all(abs(c.value - e) <= 1e-12 for c, e in zip(found.constants, expected))
+        and detect_period(make_basis_state((0, 0), CoinComponent.R), coin, 12).period == 4
+        and detect_period(box_state, coin, 12).period == 4
+    )
+    report(11, "4-cycle coin: constants {1, i, -1, -i}, every state revives at t = 4",
+           ok, started)
+
+
+def test_criterion_12_phased_swap_revives_with_period_six():
+    started = perf_counter()
+    coin = phased_swap(np.exp(2j * np.pi / 3))
+    start = PositionState({(0, 0): (2**-0.5, 0, 2**-0.5, 0)})  # (R + U)/sqrt(2)
+    found = detect_period(start, coin, 12)
+    ok = (
+        detect_constant_eigenvalues(coin, 64, 1e-8).four_constant
+        and found.period == 6
+        and np.allclose(found.fidelity_series[:6], [0, 0.25, 0, 0.25, 0, 1], rtol=0, atol=1e-12)
+    )
+    report(12, "phased swap (C_DU = e^{2 pi i/3}): (R + U)/sqrt(2) revives at t = 6",
+           ok, started)
+
+
+def test_criterion_13_irrational_phase_never_revives():
+    started = perf_counter()
+    coin = phased_swap(np.exp(1j * np.sqrt(2)))
+    start = PositionState({(0, 0): (2**-0.5, 0, 2**-0.5, 0)})
+    found = detect_period(start, coin, 40)
+    # fidelity cos^2(t/sqrt(8)) at even t: it comes close to 1, never to it;
+    # bounded over t_max, which is a check, not a proof
+    ok = (
+        detect_constant_eigenvalues(coin, 64, 1e-8).four_constant
+        and found.period is None
+        and max(found.fidelity_series) < 0.999
+    )
+    report(13, "phased swap with an irrational phase: no revival up to t = 40", ok, started)

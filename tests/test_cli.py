@@ -142,6 +142,19 @@ def test_stationary_imaginary_eigenvalue_finds_nothing(tmp_path, capsys):
     assert not list(tmp_path.glob("stationary_*.csv"))
 
 
+def test_stationary_rerun_leaves_only_its_own_states(tmp_path, capsys):
+    assert run_cli("stationary", "--coin", "grover", "--box", 3, "--out", tmp_path) == 0
+    assert "states=4" in capsys.readouterr().out
+    other = tmp_path / "stationary_notes.csv"
+    other.write_text("kept\n")
+    assert run_cli("stationary", "--coin", "grover", "--box", 2, "--out", tmp_path) == 0
+    count = int(capsys.readouterr().out.split("states=")[1])
+    written = sorted(p.name for p in tmp_path.glob("stationary_[0-9]*.csv"))
+    assert len(written) == count == 1
+    assert written == ["stationary_00.csv"]
+    assert other.read_text() == "kept\n"
+
+
 def test_stationary_hadamard4_finds_nothing(tmp_path, capsys):
     assert run_cli("stationary", "--coin", "hadamard4", "--lambda", "1,0", "--box", 3,
                    "--out", tmp_path) == 0

@@ -1,5 +1,7 @@
 """Momentum propagator spectra, constant-eigenvalue detection, char poly."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +15,71 @@ from qwalk2d import (
     grover_constant_eigenvectors,
     momentum_propagator,
     random_coin,
+    spectral,
 )
+from qwalk2d.cli import main
+
+PERMUTATIONS = list(itertools.permutations(range(4)))
 
 
 def phased(coin, theta):
     return CoinOperator(np.exp(1j * theta) * coin.matrix, name=f"{coin.name}*phase")
+
+
+def permutation_coin(perm, phases):
+    """The coin sending direction j to direction perm[j] with phase phases[j]."""
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[list(perm), range(4)] = phases
+    return CoinOperator(matrix)
+
+
+def eigvals_scan(coin, grid_size, tolerance):
+    """Constant eigenvalues by brute force, the reference for the closed form.
+
+    Candidates are the eigenvalues at one generic off-grid momentum,
+    grouped when within ``tolerance``; a group's size is its multiplicity.
+    A candidate is constant if every cell of the grid has an eigenvalue
+    within ``tolerance`` of it.  The step matrices are built here from the
+    definition Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) C.
+    Returns ``(constants, four_constant, pairing_ok)`` with ``constants``
+    a list of ``(value, multiplicity)``.
+    """
+
+    def step_matrix(k, l):
+        x, y = np.exp(1j * k), np.exp(1j * l)
+        return np.diag([x, 1 / x, y, 1 / y]) @ coin.matrix
+
+    groups = []
+    for value in np.linalg.eigvals(step_matrix(np.pi / grid_size, 1.7 * np.pi / grid_size)):
+        for group in groups:
+            if abs(value - np.mean(group)) <= tolerance:
+                group.append(value)
+                break
+        else:
+            groups.append([value])
+    momenta = 2 * np.pi * np.arange(grid_size) / grid_size
+    grid = np.linalg.eigvals(np.array([[step_matrix(k, l) for l in momenta] for k in momenta]))
+    constants = [
+        (complex(np.mean(group)), len(group))
+        for group in groups
+        if np.abs(grid - np.mean(group)).min(axis=-1).max() <= tolerance
+    ]
+    values = [v for v, _ in constants]
+    pairing_ok = all(any(abs(v + w) <= tolerance for w in values) for v in values)
+    return constants, sum(m for _, m in constants) == 4, pairing_ok
+
+
+def assert_matches_eigvals_scan(coin, grid_size, tolerance=1e-8):
+    report = detect_constant_eigenvalues(coin, grid_size, tolerance)
+    constants, four_constant, pairing_ok = eigvals_scan(coin, grid_size, tolerance)
+    assert len(report.constants) == len(constants)
+    for found in report.constants:
+        match = [m for v, m in constants if abs(v - found.value) <= 1e-10]
+        assert match == [found.multiplicity]
+        assert found.max_residual <= tolerance
+    assert report.four_constant == four_constant
+    assert report.pairing_ok == pairing_ok
+    return report
 
 
 # ------------------------------------------------------ momentum propagator
@@ -157,6 +219,89 @@ def test_number_of_constants_is_never_three(rng):
     coins += [random_coin(rng) for _ in range(20)]
     for coin in coins:
         assert len(detect_constant_eigenvalues(coin, 16, 1e-8).constants) != 3
+
+
+def test_closed_form_matches_the_eigvals_scan_on_every_permutation_coin():
+    rng = np.random.default_rng(2004)
+    found = set()
+    for perm in PERMUTATIONS:
+        for grid_size in (8, 24):
+            coin = permutation_coin(perm, np.exp(2j * np.pi * rng.random(4)))
+            found.add(len(assert_matches_eigvals_scan(coin, grid_size).constants))
+    assert found == {0, 2, 4}
+
+
+def test_candidates_that_are_eigenvalues_on_whole_grid_lines_are_rejected():
+    # Hadamard on the R/L pair (or U/D pair) gives eigenvalues +-1 wherever
+    # k (or l) is 0 or pi, and the quadratic offers exactly +-1 as
+    # candidates; they are not constant, and only the whole grid shows it
+    rng = np.random.default_rng(52)
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for _ in range(3):
+        block, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for first, second, axis in ((hadamard, block, 0), (block, hadamard, 1)):
+            matrix = np.zeros((4, 4), dtype=complex)
+            matrix[:2, :2], matrix[2:, 2:] = first, second
+            coin = CoinOperator(matrix)
+            momentum = np.zeros(2)
+            momentum[1 - axis] = 2 * np.pi * rng.random()
+            on_line = np.linalg.eigvals(momentum_propagator(coin, momentum))
+            assert min(abs(on_line - 1).min(), abs(on_line + 1).min()) <= 1e-12
+            assert assert_matches_eigvals_scan(coin, 16).constants == ()
+
+
+def test_double_root_with_a_nonzero_diagonal_gives_simple_constants():
+    # Hadamard on R/L, swap on U/D: mu = 1 is a double root of the quadratic,
+    # but only the swap block's +-1 stay put, so each is simple
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    matrix[2:, 2:] = [[0, 1], [1, 0]]
+    report = assert_matches_eigvals_scan(CoinOperator(matrix), 16)
+    assert [c.multiplicity for c in report.constants] == [1, 1]
+    assert not report.four_constant
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(("permutation", "conjugated", "phased", "haar")),
+    perm=st.sampled_from(PERMUTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+    grid_size=st.integers(8, 24),
+)
+def test_closed_form_matches_the_eigvals_scan(kind, perm, seed, grid_size):
+    rng = np.random.default_rng(seed)
+    grover = builtin_coin("grover")
+    if kind == "permutation":
+        coin = permutation_coin(perm, np.exp(2j * np.pi * rng.random(4)))
+    elif kind == "conjugated":
+        p = np.diag(np.exp(2j * np.pi * rng.random(4)))
+        coin = CoinOperator(p @ grover.matrix @ p.conj())
+    elif kind == "phased":
+        coin = phased(grover, 2 * np.pi * rng.random())
+    else:
+        coin = random_coin(rng)
+    assert_matches_eigvals_scan(coin, grid_size)
+
+
+def test_detection_runs_no_eigensolve_and_spectrum_builds_one_symbol(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve on the detection path")
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(spectral.np.linalg, "eig", refuse)
+    builds = []
+    symbol = spectral._momentum_symbol
+    monkeypatch.setattr(
+        spectral, "_momentum_symbol", lambda *args: builds.append(args) or symbol(*args)
+    )
+    for name in ("grover", "swap", "hadamard4"):
+        detect_constant_eigenvalues(builtin_coin(name), 32, 1e-8)
+    builds.clear()
+    assert main(["spectrum", "--coin", "grover", "--grid", "32", "--out", str(tmp_path)]) == 0
+    assert "constants=2" in capsys.readouterr().out
+    assert len(builds) == 1
 
 
 # ------------------------------------------------------ char poly profile
