@@ -3,8 +3,8 @@
 The walk step acts at each momentum pair as a 4x4 unitary.  An eigenvalue
 that is the same at *every* momentum gives the position-space step a point
 spectrum: the source of stationary states and revivals.  The detection
-below takes its candidates in closed form, +-sqrt(mu) for the two roots mu
-of a quadratic in the coin's entries, and keeps those at which the
+below takes its candidates in closed form from the coin's entries,
++-sqrt(mu) for at most two values of mu = v^2, and keeps those at which the
 characteristic polynomial vanishes on a full momentum grid; the residual
 column is the largest |p(v)| there.  Detected values always come in
 {+v, -v} pairs, and their count is never exactly three (the polynomial

@@ -8,18 +8,15 @@ this module and for the momentum-picture evolution alike.
 An eigenvalue that stays put across *all* momenta gives the
 position-space step a point spectrum, which is what makes finite
 non-spreading eigenstates and exact revivals possible.  The
-characteristic polynomial p(lambda) = det(lambda - U) has frequencies in
-{-1, 0, 1}^2 only, with coefficients closed form in C: at 1,
-lambda^4 + e2_0 lambda^2 + det C with e2_0 = minor(R, L) + minor(U, D);
-at x, -lambda (C_RR lambda^2 + det C conj(C_LL)), with R and L swapped at
-1/x and U and D in their place at y and 1/y; at x^a y^b, lambda^2 times a
-cross minor C_ii C_jj - C_ij C_ji, i in {R, L}, j in {U, D}.  A constant
-eigenvalue is a lambda at which all nine vanish.  They depend on lambda
-only through mu = lambda^2, a root of the quadratic at 1, so constants
-come in {+lambda, -lambda} pairs, at most two pairs.  This module reads
-the candidates off that quadratic, confirms them on a momentum grid with
-no eigensolve, and profiles the coefficients e1..e4 (elementary
-symmetric functions of the eigenvalues) over the grid.
+characteristic polynomial p(lambda) = det(lambda - U) has the nine
+frequencies {-1, 0, 1}^2, with coefficients closed form in C:
+lambda^4 + e2_0 lambda^2 + det C at 1 (e2_0 = minor(R, L) + minor(U, D));
+-lambda (C_RR lambda^2 + det C conj(C_LL)) at x, R and L swapped at 1/x,
+U and D in their place at y and 1/y; lambda^2 (C_ii C_jj - C_ij C_ji),
+i in {R, L}, j in {U, D}, at x^a y^b.  A constant eigenvalue makes all
+nine vanish, through mu = lambda^2 only: constants come in +- pairs, at
+most two.  This module finds them with no eigensolve and profiles the
+coefficients e1..e4 of p over momentum grids.
 """
 
 from dataclasses import dataclass
@@ -136,14 +133,13 @@ def detect_constant_eigenvalues(
 ) -> SpectrumReport:
     """Find eigenvalues of the momentum step matrix that never move.
 
-    Candidates are +-sqrt(mu) for the roots mu of mu^2 + e2_0 mu + det C
-    (a double root if the discriminant is within ``tolerance`` of 0).  One
-    is kept if its worst |p(lambda)| on the M x M grid of
-    :func:`char_poly_profile`, its ``max_residual``, is within
-    ``tolerance``; the grid sees every frequency of p, so that worst value
-    is within a factor of 9 of the largest coefficient.  Constants are
-    simple unless the coin diagonal is zero, where a double root mu makes
-    both +-sqrt(mu) double.
+    A diagonal entry C_ii above ``tolerance`` fixes one simple pair
+    +-sqrt(mu), mu = -det C conj(C_i'i') / C_ii with i' the partner of i;
+    with a zero diagonal the candidates are the square roots of the
+    eigenvalues of C^2, pairs within ``tolerance`` merging into a double
+    pair.  A candidate is kept if its ``max_residual``, the worst |p| on
+    the M x M grid of :func:`char_poly_profile`, is within ``tolerance``:
+    the grid sees every frequency, so it lies between p's largest coefficient and 9x it.
     """
     return _constant_eigenvalues(coin, char_poly_profile(coin, grid_size), tolerance)
 
@@ -154,15 +150,23 @@ def _constant_eigenvalues(
     """:func:`detect_constant_eigenvalues` on an already computed profile."""
     _check_tolerance(tolerance)
     c = coin.matrix
-    e2_zero = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0] + c[2, 2] * c[3, 3] - c[2, 3] * c[3, 2]
-    disc = e2_zero**2 - 4 * profile.det_coin
-    if abs(disc) <= tolerance:
-        roots = [-e2_zero / 2]
+    diagonal = np.abs(np.diag(c))
+    if diagonal.max() > tolerance:
+        # the x_i coefficient -lambda (C_ii mu + det C conj(C_i'i')) is linear in mu
+        i = int(diagonal.argmax())
+        roots, multiplicity = [-profile.det_coin * np.conj(c[i ^ 1, i ^ 1]) / c[i, i]], 1
     else:
-        roots = [(-e2_zero + np.sqrt(disc)) / 2, (-e2_zero - np.sqrt(disc)) / 2]
-    # a nonzero diagonal entry C_ii makes the lambda-derivative of the
-    # x_i coefficient, -2 C_ii lambda^2, nonzero: every constant is simple
-    double = len(roots) == 1 and np.abs(np.diag(c)).max() <= tolerance
+        # a constant p is det(lambda - C), so C^2 - mean has the eigenvalues
+        # +-(mu1 - mu2)/2, the pairs' distance on the unit circle; its square gives
+        # them to full precision, where the discriminant loses half the digits
+        c2 = c @ c
+        mean = np.trace(c2) / 4
+        centered = c2 - mean * np.eye(4)
+        half_split = np.sqrt(np.trace(centered @ centered) / 4)
+        if abs(half_split) <= tolerance:
+            roots, multiplicity = [mean], 2
+        else:
+            roots, multiplicity = [mean + half_split, mean - half_split], 1
 
     constants = []
     for mu in roots:
@@ -177,7 +181,7 @@ def _constant_eigenvalues(
             p += profile.e4
             residual = float(np.abs(p).max())
             if residual <= tolerance:
-                constants.append(ConstantEigenvalue(complex(value), residual, 2 if double else 1))
+                constants.append(ConstantEigenvalue(complex(value), residual, multiplicity))
 
     constants.sort(key=lambda c: np.mod(np.angle(c.value), 2 * np.pi))
     values = [c.value for c in constants]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qwalk2d import PositionState, superpose
+from qwalk2d import CoinOperator, PositionState, superpose
 
 
 def amp_diff(a: PositionState, b: PositionState) -> float:
@@ -12,6 +12,13 @@ def amp_diff(a: PositionState, b: PositionState) -> float:
     if diff.n_sites == 0:
         return 0.0
     return float(max(np.abs(vec).max() for _, vec in diff.items()))
+
+
+def permutation_coin(perm, phases=(1, 1, 1, 1)) -> CoinOperator:
+    """The coin sending direction j to direction perm[j] with phase phases[j]."""
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[list(perm), range(4)] = phases
+    return CoinOperator(matrix)
 
 
 def random_state(rng, n_sites=8, span=4, normalized=True) -> PositionState:

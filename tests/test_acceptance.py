@@ -32,24 +32,16 @@ from qwalk2d import (
     superpose,
 )
 
-from conftest import amp_diff, random_state
+from conftest import amp_diff, permutation_coin, random_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GROVER = builtin_coin("grover")
 R, L, U, D = range(4)
 
 
-def permutation_coin(entries):
-    """A coin with the given nonzero entries, keyed (to, from)."""
-    matrix = np.zeros((4, 4), dtype=complex)
-    for index, value in entries.items():
-        matrix[index] = value
-    return CoinOperator(matrix)
-
-
 def phased_swap(phase):
     """The swap coin with C_DU = phase: R and L trade places, U and D too."""
-    return permutation_coin({(L, R): 1, (R, L): 1, (D, U): phase, (U, D): 1})
+    return permutation_coin((L, R, D, U), (1, 1, phase, 1))
 
 
 def report(number, name, ok, started):
@@ -228,7 +220,7 @@ def test_criterion_10_localization():
 
 def test_criterion_11_four_cycle_coin_revives_with_period_four():
     started = perf_counter()
-    coin = permutation_coin({(U, R): 1, (L, U): 1, (D, L): 1, (R, D): 1})  # R->U->L->D->R
+    coin = permutation_coin((U, D, L, R))  # R->U->L->D->R
     found = detect_constant_eigenvalues(coin, 64, 1e-8)
     expected = [1, 1j, -1, -1j]
     rng = np.random.default_rng(1618)
