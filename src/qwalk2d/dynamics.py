@@ -7,20 +7,26 @@ unitary, so norms are preserved up to rounding, and it raises ValueError
 rather than move a site past the coordinate limit of the state encoding.
 
 The step runs on dense windows: a window is an origin (m0, n0) and a
-component-major (4, H, W) array over the bounding box of its occupied
-sites.  One step is ``C @ grid.reshape(4, -1)`` followed by
-``_shift_into``, four slice copies into a zeroed (4, H+2, W+2) array and
-the package's one encoding of the R/L/U/D moves (the finite-support
-search in :mod:`qwalk2d.revival` uses it too).  Border rows and columns
-that are all zero are then trimmed, so a stationary or localized state
-keeps a small window.  :class:`PositionState` stays the input and output
-type; states are converted to windows and back only at the boundaries.
-Before a walk of t steps the support is split, along m and along n, at
-every gap wider than 2t + 1: sites on either side of such a gap can never
-meet, so each group walks in its own window and their union is exact.
-Memory grows with the bounding box of each group, so a group that is wide
-but sparse (say, sites spread along a diagonal with no wide gap) costs its
-full box.
+component-major (4, H, W) array over a box of sites, in one of two frames.
+The (m, n) frame indexes the box by m and n.  The rotated frame indexes it
+by u = m + n and v = m - n in steps of 2, so it holds the sites of one
+parity class of u, and every step moves the whole class to the other one:
+after t steps from one site, the (t + 1)^2 sites it can reach fill the box,
+where an (m, n) box spans (2t + 1)^2 sites, three quarters of them empty.
+One step is ``C @ grid.reshape(4, -1)`` followed by ``_shift_into``, four
+slice copies into a zeroed box one step larger, read off ``_MOVES``, the
+package's one table of the R/L/U/D moves in both frames (the
+finite-support search in :mod:`qwalk2d.revival` shifts with it too).
+Border rows and columns that are all zero are then trimmed, so a
+stationary or localized state keeps a small window.
+:class:`PositionState` stays the input and output type; states are
+converted to windows and back only at the boundaries.  Before a walk of t
+steps the support is split, along m, n, u and v, at every gap wider than
+2t + 1: sites on either side of such a gap can never meet, so each group
+walks in its own windows and their union is exact.  Each group takes the
+frame whose boxes hold fewer cells after t steps, so a single site or a
+compact cluster walks rotated, and sites strung along an axis keep a thin
+(m, n) box while sites strung along a diagonal keep a thin rotated one.
 
 ``_trajectory`` is the package's only time-stepping loop: :func:`evolve`
 and the revival scans in :mod:`qwalk2d.revival` all consume the windows it
@@ -41,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PositionState, _KEY_BASE, _check_coords, _decode
+from .states import PositionState, _COORD_LIMIT, _KEY_BASE, _check_coords, _decode
 
 __all__ = [
     "BUILTIN_COIN_NAMES",
@@ -67,7 +73,7 @@ MOMENTUM_DROP_TOL = 1e-14
 BUILTIN_COIN_NAMES = ("grover", "hadamard4", "dft4", "swap")
 
 # sites per band of the coin multiply in the window step, a size that keeps
-# the band's product in cache
+# the band's product in cache; a band is rows of either frame's box
 _BAND_SITES = 4096
 
 
@@ -173,25 +179,49 @@ def apply_coin(state: PositionState, coin: CoinOperator) -> PositionState:
 
 
 class _Window(NamedTuple):
-    """Amplitudes ``grid[c, m - m0, n - n0]`` on a box of the lattice."""
+    """Amplitudes on a box of the lattice, in one of two frames.
+
+    In the (m, n) frame ``grid[c, i, j]`` sits at site (m0 + i, n0 + j).  In
+    the rotated frame it sits at (m0 + i + j, n0 + i - j): rows step
+    u = m + n and columns step v = m - n by 2, so the box holds one parity
+    class of u and no site it cannot reach.
+    """
 
     m0: int
     n0: int
     grid: np.ndarray  # (4, H, W) complex, component-major
+    rotated: bool
+
+
+# (row, column) offsets of the R, L, U and D moves in the box a step pads
+# by 2 rows and columns in the (m, n) frame, by 1 in the rotated frame
+_MOVES = {
+    False: ((2, 1), (0, 1), (1, 2), (1, 0)),
+    True: ((1, 1), (0, 0), (1, 0), (0, 1)),
+}
+
+
+def _sites(m0, n0, i, j, rotated):
+    """The (m, n) coordinates of box indices (i, j) of a window at (m0, n0)."""
+    if rotated:
+        return m0 + i + j, n0 + i - j
+    return m0 + i, n0 + j
 
 
 def _groups(m, n, gap):
     """Index arrays of the sites, split at every coordinate gap wider than ``gap``.
 
-    A group is split along m or along n and its parts are split again,
-    until no group has such a gap along either axis.
+    A group is split along m, n, m + n or m - n and its parts are split
+    again, until no group has such a gap along any of them.
     """
+    coords = (m, n, m + n, m - n)
     pending = [np.arange(m.size)] if m.size else []
     while pending:
         group = pending.pop()
-        for coord in (m[group], n[group]):
-            order = np.argsort(coord, kind="stable")
-            cuts = np.flatnonzero(np.diff(coord[order]) > gap) + 1
+        for coord in coords:
+            values = coord[group]
+            order = np.argsort(values, kind="stable")
+            cuts = np.flatnonzero(np.diff(values[order]) > gap) + 1
             if cuts.size:
                 pending.extend(np.split(group[order], cuts))
                 break
@@ -199,21 +229,44 @@ def _groups(m, n, gap):
             yield group
 
 
+def _box(i, j, amps):
+    """The origin-free box (4, H, W) holding ``amps`` at indices (i, j) >= 0."""
+    grid = np.zeros((4, int(i.max()) + 1, int(j.max()) + 1), dtype=complex)
+    grid[:, i, j] = amps.T
+    return grid
+
+
 def _to_windows(state: PositionState, steps: int) -> list[_Window]:
-    """``state`` as windows, one per group of sites that ``steps`` steps cannot join."""
+    """``state`` as windows, one per group of sites that ``steps`` steps cannot join.
+
+    Each group walks in the frame whose boxes hold fewer cells after
+    ``steps`` steps, the rotated one on a tie: one box of (H + 2t)(W + 2t)
+    cells, or one (A + t)(B + t) box per parity class of m + n.
+    """
     m, n = _decode(state._keys)
     windows = []
     for group in _groups(m, n, 2 * steps + 1):
-        gm, gn = m[group], n[group]
-        m0, n0 = int(gm.min()), int(gn.min())
-        grid = np.zeros((4, int(gm.max()) - m0 + 1, int(gn.max()) - n0 + 1), dtype=complex)
-        grid[:, gm - m0, gn - n0] = state._amps[group].T
-        windows.append(_Window(m0, n0, grid))
+        gm, gn, amps = m[group], n[group], state._amps[group]
+        # rotated box indices: u = m + n = 2r + p and v = m - n = 2c + p
+        u, v = gm + gn, gm - gn
+        r, c, parity = u >> 1, v >> 1, u & 1
+        classes = [parity == p for p in (0, 1) if (parity == p).any()]
+        spans = [(int(np.ptp(r[k])) + 1, int(np.ptp(c[k])) + 1) for k in classes]
+        rotated_cells = sum((a + steps) * (b + steps) for a, b in spans)
+        mn_cells = (int(np.ptp(gm)) + 1 + 2 * steps) * (int(np.ptp(gn)) + 1 + 2 * steps)
+        if rotated_cells > mn_cells:
+            m0, n0 = int(gm.min()), int(gn.min())
+            windows.append(_Window(m0, n0, _box(gm - m0, gn - n0, amps), False))
+            continue
+        for k in classes:
+            r0, c0 = int(r[k].min()), int(c[k].min())
+            m0, n0 = r0 + c0 + int(parity[k][0]), r0 - c0
+            windows.append(_Window(m0, n0, _box(r[k] - r0, c[k] - c0, amps[k]), True))
     return windows
 
 
-def _grid_sites(m0, n0, grid):
-    """Sorted keys and amplitudes of the occupied sites of ``grid[c, m - m0, n - n0]``.
+def _grid_sites(m0, n0, grid, rotated=False):
+    """Sorted keys and amplitudes of the occupied sites of a window's box.
 
     Zero components come out as +0.  Raises ValueError if an occupied site
     lies past the coordinate limit.
@@ -223,11 +276,14 @@ def _grid_sites(m0, n0, grid):
     keep = np.flatnonzero(flat.any(axis=1))
     amps = flat[keep]
     amps[amps == 0] = 0
-    m = keep // width + m0
-    n = keep % width + n0
+    m, n = _sites(m0, n0, keep // width, keep % width, rotated)
     _check_coords(m, n)
-    # box indices ascend lexicographically, so the keys are already sorted
-    return m * _KEY_BASE + n, amps
+    keys = m * _KEY_BASE + n
+    if not rotated:
+        # (m, n) box indices ascend lexicographically, so the keys are sorted
+        return keys, amps
+    order = np.argsort(keys)
+    return keys[order], amps[order]
 
 
 def _to_state(windows: list[_Window]) -> PositionState:
@@ -240,8 +296,8 @@ def _to_state(windows: list[_Window]) -> PositionState:
     return PositionState._from_sorted(keys[order], np.concatenate(amps)[order])
 
 
-def _trim(m0: int, n0: int, grid: np.ndarray) -> list[_Window]:
-    """The window at (m0, n0) cut to the bounding box of its occupied sites.
+def _trim(m0: int, n0: int, grid: np.ndarray, rotated: bool) -> list[_Window]:
+    """The window at (m0, n0) cut to the bounding box of its occupied cells.
 
     Returns a list of one window, or of none if no amplitude is left.
     Raises ValueError if an occupied site lies past the coordinate limit.
@@ -257,60 +313,75 @@ def _trim(m0: int, n0: int, grid: np.ndarray) -> list[_Window]:
         left += 1
     while not grid[:, top:bottom, right - 1].any():
         right -= 1
-    m0, n0 = m0 + top, n0 + left
-    # the trimmed box's corners bound every occupied site
-    _check_coords((m0, m0 + bottom - top - 1), (n0, n0 + right - left - 1))
-    return [_Window(m0, n0, grid[:, top:bottom, left:right])]
+    m0, n0 = _sites(m0, n0, top, left, rotated)
+    grid = grid[:, top:bottom, left:right]
+    # the box's corners bound every site, a fast pre-test; when one is past
+    # the limit, the occupied sites decide
+    height, width = bottom - top, right - left
+    rows, cols = np.array([0, 0, height - 1, height - 1]), np.array([0, width - 1] * 2)
+    if np.abs(_sites(m0, n0, rows, cols, rotated)).max() >= _COORD_LIMIT:
+        _check_coords(*_sites(m0, n0, *np.nonzero(grid.any(axis=0)), rotated))
+    return [_Window(m0, n0, grid, rotated)]
 
 
-def _shift_into(out: np.ndarray, rows: np.ndarray) -> None:
+def _shift_into(out: np.ndarray, rows: np.ndarray, rotated: bool = False) -> None:
     """Move each component of ``rows`` (..., 4, H, W) one site into ``out``.
 
-    ``out`` (..., 4, H+2, W+2) is the box padded by one site on each side;
-    leading axes are a batch.  This is the package's one copy of the shift.
+    ``out`` is the box padded for one step, (..., 4, H+2, W+2) in the (m, n)
+    frame and (..., 4, H+1, W+1) in the rotated frame; leading axes are a
+    batch.  This is the package's one copy of the shift, read off ``_MOVES``.
     """
-    out[..., 0, 2:, 1:-1] = rows[..., 0, :, :]  # R: m + 1
-    out[..., 1, :-2, 1:-1] = rows[..., 1, :, :]  # L: m - 1
-    out[..., 2, 1:-1, 2:] = rows[..., 2, :, :]  # U: n + 1
-    out[..., 3, 1:-1, :-2] = rows[..., 3, :, :]  # D: n - 1
+    height, width = rows.shape[-2:]
+    for c, (i, j) in enumerate(_MOVES[rotated]):
+        out[..., c, i : i + height, j : j + width] = rows[..., c, :, :]
 
 
 def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
     """One walk step of every window: ``C @ grid``, then the shift, then the trim.
 
-    The coin multiply runs over bands of rows that fit in cache, and each
-    band is shifted into place as soon as it is done.  A band is a whole
-    number of 8-row blocks, so every band but the last holds a multiple of
-    8 sites and BLAS rounds each site as in one product over the window.
+    A step pads an (m, n) box by one site on each side and moves its origin
+    by (-1, -1); it pads a rotated box by one row and one column and moves
+    its origin by (-1, 0), since every move changes m + n by one.  The coin
+    multiply runs over bands of rows that fit in cache, and each band is
+    shifted into place as soon as it is done.  A band is a whole number of
+    8-row blocks, so every band but the last holds a multiple of 8 sites
+    and BLAS rounds each site as in one product over the window.
     """
     stepped = []
-    for m0, n0, grid in windows:
+    for m0, n0, grid, rotated in windows:
         _, height, width = grid.shape
-        out = np.zeros((4, height + 2, width + 2), dtype=complex)
+        pad = 1 if rotated else 2
+        out = np.zeros((4, height + pad, width + pad), dtype=complex)
         band = 8 * max(1, _BAND_SITES // width)
         for top in range(0, height, band):
             rows = coin.matrix @ grid[:, top : top + band].reshape(4, -1)
             rows = rows.reshape(4, -1, width)
-            _shift_into(out[:, top : top + rows.shape[1] + 2], rows)
-        stepped += _trim(m0 - 1, n0 - 1, out)
+            _shift_into(out[:, top : top + rows.shape[1] + pad], rows, rotated)
+        stepped += _trim(m0 - 1, n0 if rotated else n0 - 1, out, rotated)
     return stepped
 
 
 def _amplitudes(windows: list[_Window], points: np.ndarray) -> np.ndarray:
     """The (len(points), 4) amplitudes at the (m, n) rows of ``points``."""
     out = np.zeros((len(points), 4), dtype=complex)
-    for m0, n0, grid in windows:
+    for m0, n0, grid, rotated in windows:
         i = points[:, 0] - m0
         j = points[:, 1] - n0
-        inside = (i >= 0) & (i < grid.shape[1]) & (j >= 0) & (j < grid.shape[2])
-        out[inside] = grid[:, i[inside], j[inside]].T
+        on_class = True
+        if rotated:
+            # invert (i, j) -> (i + j, i - j); the other parity class is off the box
+            on_class = (i + j) % 2 == 0
+            i, j = (i + j) >> 1, (i - j) >> 1
+        inside = on_class & (i >= 0) & (i < grid.shape[1]) & (j >= 0) & (j < grid.shape[2])
+        # boxes may overlap, but the windows' supports are disjoint
+        out[inside] += grid[:, i[inside], j[inside]].T
     return out
 
 
 def _norm(windows: list[_Window]) -> float:
     """Euclidean norm over every window."""
     # one BLAS dot per component plane, a view unless columns were trimmed
-    return math.sqrt(sum(np.vdot(g, g).real for _, _, grid in windows for g in grid))
+    return math.sqrt(sum(np.vdot(g, g).real for window in windows for g in window.grid))
 
 
 _IDENTITY = CoinOperator(np.eye(4), name="identity")

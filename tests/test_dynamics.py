@@ -26,6 +26,7 @@ from qwalk2d import (
     superpose,
 )
 from qwalk2d.revival import (
+    detect_period,
     grover_stationary_states,
     return_probability_series,
     revival_state,
@@ -318,17 +319,43 @@ def _dict_walk(amplitudes, matrix, steps):
     return amplitudes
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(seed=_SEEDS, points=_CLUSTER, steps=st.integers(0, 12))
+# lines along an axis, which walk in the (m, n) frame while they are long
+# next to the step count, or along a diagonal, which walk in the rotated frame
+_LINES = st.tuples(
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]),
+    st.integers(1, 3), st.integers(24, 40), st.integers(-6, 6), st.integers(-6, 6),
+).map(lambda x: {(x[3] + k * x[1] * x[0][0], x[4] + k * x[1] * x[0][1]) for k in range(x[2])})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seed=_SEEDS, points=st.one_of(_POINTS, _LINES), steps=st.integers(0, 12))
 def test_evolve_matches_a_plain_dict_walk(seed, points, steps):
     coin, state = _random_input(seed, points)
     matrix = coin.matrix.tolist()
     start = {point: vec.tolist() for point, vec in state.items()}
     expected = _dict_walk(start, matrix, steps)
     out = evolve(state, coin, steps)
+    assert np.all(np.diff(out._keys) > 0)
     for point in set(expected) | set(out.points):
         want = expected.get(point, [0j] * 4)
         assert np.abs(out.amplitude(point) - want).max() <= 1e-13
+
+
+def test_detect_period_matches_a_plain_dict_walk():
+    # an L of sites that walks in one (m, n) box holding the origin, and
+    # both parity classes of m + n in the box's far corner, a second group
+    # that the L cannot reach in 4 steps since m + n jumps from 0 to 11
+    ell = {(m, 0) for m in range(-30, 1)} | {(-30, n) for n in range(13)}
+    coin, state = _random_input(7, ell | {(0, 12), (-1, 12), (0, 11)})
+    start = {point: vec.tolist() for point, vec in state.items()}
+    report = detect_period(state, coin, 4)
+    for t in range(5):
+        walked = _dict_walk(start, coin.matrix.tolist(), t)
+        origin = np.array(walked.get((0, 0), [0j] * 4))
+        assert abs(report.return_probability[t] - np.vdot(origin, origin).real) <= 1e-13
+        if t:
+            overlap = sum(np.vdot(vec, walked.get(p, [0j] * 4)) for p, vec in state.items())
+            assert abs(report.fidelity_series[t - 1] - abs(overlap) ** 2) <= 1e-13
 
 
 def _peak_bytes(fn, *args):
@@ -364,6 +391,21 @@ def test_far_apart_sites_walk_in_separate_windows(rng):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("direction", [(3, 0), (0, 3), (3, 3), (3, -3)])
+def test_sites_strung_along_a_line_walk_in_a_thin_box(direction):
+    # 300 sites 3 apart: a box over a diagonal line in (m, n) holds 898^2 sites
+    dm, dn = direction
+    line = PositionState({(dm * k, dn * k): (0.5, 0.5, 0.5, 0.5) for k in range(300)})
+    line = superpose([(1.0 / line.norm(), line)])
+    coin = builtin_coin("grover")
+    stepped, peak = _peak_bytes(step, line, coin)
+    assert abs(stepped.norm() - 1.0) < 1e-12
+    assert peak < 2 * 2**20
+    walked, peak = _peak_bytes(evolve, line, coin, 5)
+    assert abs(walked.norm() - 1.0) < 1e-12
+    assert peak < 4 * 2**20
+
+
 def test_walks_stop_at_the_coordinate_limit():
     identity = CoinOperator(np.eye(4))
     start = make_basis_state((2**30 - 3, 0), "R")
@@ -376,6 +418,25 @@ def test_walks_stop_at_the_coordinate_limit():
         return_probability_series(start, identity, 3)
     with pytest.raises(ValueError, match="coordinates"):
         evolve_momentum(make_basis_state((2**30 - 1, 0), "R"), identity, 1, 4)
+
+
+def test_the_coordinate_limit_is_decided_on_occupied_sites():
+    # the rotated box over these two sites reaches m = 2^30 at its corner,
+    # where no site is, and one step of L, U and D keeps that box
+    identity = CoinOperator(np.eye(4))
+    edge = 2**30 - 1
+    inward = PositionState({(edge, 1): (0, 0.5, 0.5, 0.5), (edge, -1): (0, 0.5, 0.5, 0.5)})
+    assert step(inward, identity).points == [
+        (edge - 1, -1), (edge - 1, 1), (edge, -2), (edge, 0), (edge, 2)
+    ]
+    assert evolve(inward, identity, 3).points == [
+        (edge - 3, -1), (edge - 3, 1), (edge, -4), (edge, -2), (edge, 2), (edge, 4)
+    ]
+    outward = PositionState({(edge, 1): (0.5, 0.5, 0.5, 0.5), (edge, -1): (0, 0.5, 0.5, 0.5)})
+    with pytest.raises(ValueError, match="coordinates"):
+        step(outward, identity)
+    with pytest.raises(ValueError, match="coordinates"):
+        evolve(outward, identity, 3)
 
 
 def test_support_stays_on_parity_diamond():
