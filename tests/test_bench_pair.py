@@ -31,7 +31,7 @@ def _pairs():
         (3, "parent", (0.08, 100.0), (0.03, 300.0, 0)),
         (3, "change", (0.09, 110.0), (0.04, 110.0, 0)),
         (3, "parent", (0.07, 90.0), (0.07, 80.0, 1)),
-        (29, "change", (0.10, 100.0), (0.02, 400.0, 0)),
+        (29, "change", (0.1000004, 100.0), (0.02, 400.0, 0)),
     ]
     return [
         {"seed": seed, "first": first,
@@ -70,6 +70,7 @@ def test_assemble_summarises_each_side_and_the_pairs_won():
 
 
 def test_an_entry_gives_back_its_pairs():
+    # runs are kept to 6 decimals, and the summaries are taken over those
     pairs = _pairs()
     entry = bench_pair.assemble(pairs, METRICS)
     assert bench_pair.assemble(bench_pair.pairs_of(entry), METRICS) == entry

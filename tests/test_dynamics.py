@@ -421,8 +421,8 @@ def test_walks_stop_at_the_coordinate_limit():
 
 
 def test_the_coordinate_limit_is_decided_on_occupied_sites():
-    # the rotated box over these two sites reaches m = 2^30 at its corner,
-    # where no site is, and one step of L, U and D keeps that box
+    # the rotated box over these two sites reaches m = 2^30 at a corner
+    # where no site is, and so do the boxes after L, U and D moves
     identity = CoinOperator(np.eye(4))
     edge = 2**30 - 1
     inward = PositionState({(edge, 1): (0, 0.5, 0.5, 0.5), (edge, -1): (0, 0.5, 0.5, 0.5)})

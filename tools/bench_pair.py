@@ -6,17 +6,16 @@ Run from the repository root:
     python3 tools/bench_pair.py --base <commit> --workload revival --seed 3 \\
         --pairs 10 --out BENCH_8.json
 
-The base commit and the head commit (``--head``, default HEAD) are each
-exported with ``git archive`` into their own directory under ``--workdir``
-(a temporary directory, removed at exit, by default), so each side runs
-``perfbench/run.py --trace 0`` from its committed files only, one process at
-a time.  Pair i (counted from 1) runs the base first when i is odd and the
-head first when i is even.  Units, directions and bounds of the metrics are
-read from BENCHMARK.json.  If ``--out`` exists and records the same two
+The base commit and HEAD are each exported with ``git archive`` into their
+own temporary directory, so each side runs ``perfbench/run.py --trace 0``
+from its committed files only, one process at a time, for the run length
+that BENCHMARK.json sets.  Pair i (counted from 1) runs the base first when
+i is odd and HEAD first when i is even.  Units, directions and bounds of the
+metrics are read from BENCHMARK.json too.  If ``--out`` exists and records the same two
 commits, the new pairs are added to its workload entry, so a held-out seed
 extends the same record; the summaries are computed again over all pairs.
 Medians and quartiles are numpy percentiles (linear); a pair counts as won
-when the head's value is strictly better, so ties count for neither side.
+when HEAD's value is strictly better, so ties count for neither side.
 """
 
 import argparse
@@ -46,13 +45,17 @@ def parse_result(stdout: str) -> dict:
 def _stats(runs):
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": round(float(median), 6), "q1": round(float(q1), 6),
-            "q3": round(float(q3), 6), "iqr": round(float(q3 - q1), 6),
-            "runs": [round(float(x), 6) for x in runs]}
+            "q3": round(float(q3), 6), "iqr": round(float(q3 - q1), 6), "runs": runs}
 
 
 def _compare(pairs, name, spec):
-    """Summary of one metric over ``pairs``: each side's stats and the pairs won."""
-    runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+    """Summary of one metric over ``pairs``: each side's stats and the pairs won.
+
+    Values are rounded to 6 decimals first, as the record keeps them, so a
+    record assembled again from its own runs is the same record.
+    """
+    runs = {side: [round(p[side]["metrics"][name]["value"], 6) for p in pairs]
+            for side in SIDES}
     sign = 1 if spec["better"] == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
     parent, change = _stats(runs["parent"]), _stats(runs["change"])
@@ -126,10 +129,10 @@ def _export(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _run(checkout: Path, args) -> tuple[dict, dict]:
+def _run(checkout: Path, args, seconds) -> tuple[dict, dict]:
     """One perfbench run in ``checkout``: its parsed result and its run record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     if proc.returncode not in (0, 1):
         sys.exit(f"bench_pair: {' '.join(cmd)} in {checkout} exited "
@@ -141,20 +144,16 @@ def _run(checkout: Path, args) -> tuple[dict, dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit measured as the parent")
-    parser.add_argument("--head", default="HEAD", help="commit measured as the change")
     parser.add_argument("--workload", required=True,
                         choices=("spread", "revival", "spectrum", "momentum"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--title", default="")
-    parser.add_argument("--workdir", type=Path, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    commits = {"parent": _git("rev-parse", args.base), "change": _git("rev-parse", args.head)}
+    commits = {"parent": _git("rev-parse", args.base), "change": _git("rev-parse", "HEAD")}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: {k: m[k] for k in ("unit", "better", "bound")}
                for m in spec["end_to_end"]}
@@ -163,17 +162,15 @@ def main(argv=None) -> int:
         sys.exit(f"bench_pair: {args.out} records other commits")
     entry = record.get("workloads", {}).get(args.workload)
     pairs = pairs_of(entry) if entry else []
-    with tempfile.TemporaryDirectory(prefix="bench_pair-") as scratch:
-        workdir = args.workdir or Path(scratch)
-        checkouts = {side: workdir / commits[side][:12] for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_pair-") as workdir:
+        checkouts = {side: Path(workdir) / side for side in SIDES}
         for side in SIDES:
-            if not checkouts[side].exists():
-                _export(commits[side], checkouts[side])
+            _export(commits[side], checkouts[side])
         for i in range(1, args.pairs + 1):
             order = SIDES if i % 2 else SIDES[::-1]
             pair = {"seed": args.seed, "first": order[0]}
             for side in order:
-                pair[side], run_record = _run(checkouts[side], args)
+                pair[side], run_record = _run(checkouts[side], args, spec["run_seconds"])
                 record.setdefault(side, {"commit": commits[side],
                                          "src_sha256": run_record["src_sha256"]})
             print(f"pair {i}: " + " ".join(
@@ -181,10 +178,10 @@ def main(argv=None) -> int:
                 f"failed={pair[side]['failed']}" for side in SIDES), flush=True)
             pairs.append(pair)
 
-    record.setdefault("title", args.title)
+    record.setdefault("title", _git("log", "-1", "--format=%s", commits["change"]))
     record["host"] = {key: run_record[key] for key in HOST_KEYS}
     record["command"] = ("python3 perfbench/run.py --workload <name> --seed <seed> "
-                         f"--seconds {args.seconds:g} --trace 0")
+                         f"--seconds {spec['run_seconds']} --trace 0")
     record["method"] = (
         "Written by tools/bench_pair.py. Each commit was exported with git archive into its "
         "own directory and ran one process at a time. Pair i (from 1) ran the parent first "
