@@ -4,18 +4,19 @@
 Run from the repository root:
 
     python3 tools/bench_pair.py --base <commit> --workload revival --seed 3 \\
-        --pairs 10 --out BENCH_8.json
+        --pairs 10 --out BENCH_<n>.json
 
 The base commit and HEAD are each exported with ``git archive`` into their
 own temporary directory, so each side runs ``perfbench/run.py --trace 0``
 from its committed files only, one process at a time, for the run length
 that BENCHMARK.json sets.  Pair i (counted from 1) runs the base first when
-i is odd and HEAD first when i is even.  Units, directions and bounds of the
-metrics are read from BENCHMARK.json too.  If ``--out`` exists and records the same two
-commits, the new pairs are added to its workload entry, so a held-out seed
-extends the same record; the summaries are computed again over all pairs.
-Medians and quartiles are numpy percentiles (linear); a pair counts as won
-when HEAD's value is strictly better, so ties count for neither side.
+i is odd and HEAD first when i is even.  Units, directions and bounds of
+the metrics are read from BENCHMARK.json too.  If ``--out`` exists and
+records the same two commits, the new pairs are added to its workload
+entry, so a held-out seed extends the same record; the summaries are
+computed again over all pairs.  Medians and quartiles are numpy
+percentiles (linear); a pair counts as won when HEAD's value is strictly
+better, so ties count for neither side.
 """
 
 import argparse
