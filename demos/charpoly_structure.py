@@ -14,13 +14,7 @@ spectrum from generic ones.
 
 import numpy as np
 
-from qwalk2d import (
-    builtin_coin,
-    char_poly_profile,
-    detect_constant_eigenvalues,
-    momentum_propagator,
-    random_coin,
-)
+from qwalk2d import builtin_coin, detect_constant_eigenvalues, momentum_propagator, random_coin
 
 rng = np.random.default_rng(7)
 coins = [builtin_coin(n) for n in ("grover", "hadamard4", "dft4", "swap")]
@@ -31,8 +25,9 @@ momenta = 2 * np.pi * np.arange(GRID) / GRID
 
 print(f"{'coin':10s} {'var(e2)':12s} {'e2 const?':10s} {'constants':10s} max|prod(eig) - det|")
 for coin in coins:
-    profile = char_poly_profile(coin, grid_size=GRID)
-    n_const = len(detect_constant_eigenvalues(coin, GRID, 1e-8).constants)
+    report = detect_constant_eigenvalues(coin, GRID, 1e-8)
+    profile = report.profile
+    n_const = len(report.constants)
     det_dev = max(
         abs(np.prod(np.linalg.eigvals(momentum_propagator(coin, (k, l)))) - profile.det_coin)
         for k in momenta

@@ -2,9 +2,9 @@
 
 Each subcommand writes machine-readable CSV/JSON files into the output
 directory and prints a one-line summary to standard output; diagnostics go
-to standard error.  Exit codes: 0 on success, 2 for configuration errors,
-3 for coin validation failures.  Input ranges (step counts, grid and box
-sizes, tolerances) are checked by the library functions the handlers call.
+to standard error.  Exit codes: 0 on success, 3 for a ``CoinError``, 2 for
+any other ``ValueError``: a bad option or input file, or an input range
+(step counts, grid and box sizes, tolerances) the library functions reject.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from .dynamics import (
     load_coin,
 )
 from .revival import detect_period, find_local_stationary_states, grover_stationary_states, revival_state
-from .spectral import _constant_eigenvalues, char_poly_profile
+from .spectral import detect_constant_eigenvalues
 from .states import (
     CoinComponent,
     PositionState,
@@ -32,7 +32,7 @@ from .states import (
     save_state,
 )
 
-__all__ = ["main", "ConfigError"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,17 +40,13 @@ EXIT_COIN = 3
 
 BUILTIN_INITIAL_NAMES = ("psi1", "psi2", "revival", "origin_symmetric")
 
-class ConfigError(Exception):
-    """Invalid command-line configuration."""
-
-
 def _resolve_coin(spec: str) -> CoinOperator:
     if spec in BUILTIN_COIN_NAMES:
         return builtin_coin(spec)
     path = Path(spec)
     if path.exists():
         return load_coin(path)  # CoinError propagates to the caller
-    raise ConfigError(
+    raise ValueError(
         f"unknown coin {spec!r}: not a built-in "
         f"({', '.join(BUILTIN_COIN_NAMES)}) and no such file"
     )
@@ -70,14 +66,14 @@ def _resolve_initial(spec: str) -> PositionState:
         try:
             component = CoinComponent[name]
         except KeyError:
-            raise ConfigError(f"unknown coin component {name!r} in {spec!r}") from None
+            raise ValueError(f"unknown coin component {name!r} in {spec!r}") from None
         return make_basis_state((0, 0), component)
     path = Path(spec)
     if path.exists():
         state = load_state(path)  # a ValueError is a configuration error in main
         _require_normalized(state, f"--init {spec}")
         return state
-    raise ConfigError(
+    raise ValueError(
         f"unknown initial state {spec!r}: not a built-in "
         f"({', '.join(BUILTIN_INITIAL_NAMES)}, basis:R/L/U/D) and no such file"
     )
@@ -86,11 +82,11 @@ def _resolve_initial(spec: str) -> PositionState:
 def _parse_complex_pair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected 're,im', got {text!r}")
+        raise ValueError(f"expected 're,im', got {text!r}")
     try:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError:
-        raise ConfigError(f"expected 're,im', got {text!r}") from None
+        raise ValueError(f"expected 're,im', got {text!r}") from None
 
 
 def _out_dir(path: Path) -> Path:
@@ -130,14 +126,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     coin = _resolve_coin(args.coin)
-    profile = char_poly_profile(coin, args.grid)
-    report = _constant_eigenvalues(coin, profile, args.tol)
+    report = detect_constant_eigenvalues(coin, args.grid, args.tol)
     out = _out_dir(args.out)
-    _write_json(out / "spectrum.json", {**report.to_json_dict(), **profile.to_json_dict()})
+    _write_json(out / "spectrum.json", report.to_json_dict())
     print(
         f"spectrum coin={args.coin} grid={args.grid} tol={args.tol:g}: "
         f"constants={len(report.constants)} pairing_ok={report.pairing_ok} "
-        f"four_constant={report.four_constant} c_zero={profile.c_zero}"
+        f"four_constant={report.four_constant} c_zero={report.profile.c_zero}"
     )
     return EXIT_OK
 
@@ -242,9 +237,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        print(f"qwalk2d: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CoinError as exc:
         print(f"qwalk2d: coin error: {exc}", file=sys.stderr)
         return EXIT_COIN

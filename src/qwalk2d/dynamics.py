@@ -266,10 +266,12 @@ def _to_windows(state: PositionState, steps: int) -> list[_Window]:
 
 
 def _grid_sites(m0, n0, grid, rotated=False):
-    """Sorted keys and amplitudes of the occupied sites of a window's box.
+    """Keys and amplitudes of the occupied sites of a window's box, in box order.
 
-    Zero components come out as +0.  Raises ValueError if an occupied site
-    lies past the coordinate limit.
+    Box order is lexicographic in the (m, n) frame, so those keys are sorted,
+    as the stationary search and :func:`evolve_momentum` need; ``_to_state``
+    sorts a walk's keys.  Zero components come out as +0.  Raises ValueError
+    if an occupied site lies past the coordinate limit.
     """
     width = grid.shape[2]
     flat = grid.reshape(4, -1).T
@@ -278,12 +280,7 @@ def _grid_sites(m0, n0, grid, rotated=False):
     amps[amps == 0] = 0
     m, n = _sites(m0, n0, keep // width, keep % width, rotated)
     _check_coords(m, n)
-    keys = m * _KEY_BASE + n
-    if not rotated:
-        # (m, n) box indices ascend lexicographically, so the keys are sorted
-        return keys, amps
-    order = np.argsort(keys)
-    return keys[order], amps[order]
+    return m * _KEY_BASE + n, amps
 
 
 def _to_state(windows: list[_Window]) -> PositionState:

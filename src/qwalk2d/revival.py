@@ -186,9 +186,12 @@ class RevivalReport:
 _ORIGIN = np.zeros((1, 2), dtype=np.int64)
 
 
-def _origin_probability(windows) -> float:
-    vec = _amplitudes(windows, _ORIGIN)[0]
+def _probability(vec) -> float:
     return float(np.sum(np.abs(vec) ** 2))
+
+
+def _origin_probability(windows) -> float:
+    return _probability(_amplitudes(windows, _ORIGIN)[0])
 
 
 def detect_period(
@@ -207,17 +210,19 @@ def detect_period(
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     _check_tolerance(tolerance)
-    points = np.array(initial.points, dtype=np.int64)
+    # the origin rides along as the last row: one window read per step
+    points = np.array([*initial.points, (0, 0)], dtype=np.int64)
     trajectory = _trajectory(initial, coin, t_max)
     returns = [_origin_probability(next(trajectory))]
     series = []
     period = None
     phase = None
     for t, windows in enumerate(trajectory, start=1):
-        returns.append(_origin_probability(windows))
+        here = _amplitudes(windows, points)
+        returns.append(_probability(here[-1]))
+        here = here[:-1]
         # states are immutable, so ``initial`` keeps the norm checked above
         _check_norm(_norm(windows), "fidelity")
-        here = _amplitudes(windows, points)
         # <initial|state> over the sites both occupy, as inner_product sums it
         both = here.any(axis=1)
         overlap = complex(np.sum(initial._amps[both].conj() * here[both]))

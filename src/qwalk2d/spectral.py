@@ -91,129 +91,30 @@ class ConstantEigenvalue:
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
-    """Outcome of a constant-eigenvalue scan over an M x M momentum grid.
-
-    ``pairing_ok`` records whether every detected value has its negative
-    detected too; ``four_constant`` flags coins whose entire spectrum is
-    momentum-independent.  That happens exactly when the coin has zero
-    diagonal and C_RU C_UR = C_RD C_DR = C_LU C_UL = C_LD C_DL = 0, as for
-    the swap coin.
-    """
-
-    constants: tuple[ConstantEigenvalue, ...]
-    grid_size: int
-    tolerance: float
-    pairing_ok: bool
-    four_constant: bool
-
-    def values(self) -> list[complex]:
-        return [c.value for c in self.constants]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "constants": [
-                {
-                    "re": c.value.real,
-                    "im": c.value.imag,
-                    "max_residual": c.max_residual,
-                    "multiplicity": c.multiplicity,
-                }
-                for c in self.constants
-            ],
-            "grid_size": self.grid_size,
-            "tolerance": self.tolerance,
-            "pairing_ok": self.pairing_ok,
-            "four_constant": self.four_constant,
-        }
-
-
-def detect_constant_eigenvalues(
-    coin: CoinOperator, grid_size: int = 64, tolerance: float = 1e-8
-) -> SpectrumReport:
-    """Find eigenvalues of the momentum step matrix that never move.
-
-    A diagonal entry C_ii above ``tolerance`` fixes one simple pair
-    +-sqrt(mu), mu = -det C conj(C_i'i') / C_ii with i' the partner of i;
-    with a zero diagonal the candidates are the square roots of the
-    eigenvalues of C^2, pairs within ``tolerance`` merging into a double
-    pair.  A candidate is kept if its ``max_residual``, the worst |p| on
-    the M x M grid of :func:`char_poly_profile`, is within ``tolerance``:
-    the grid sees every frequency, so it lies between p's largest coefficient and 9x it.
-    """
-    return _constant_eigenvalues(coin, char_poly_profile(coin, grid_size), tolerance)
-
-
-def _constant_eigenvalues(
-    coin: CoinOperator, profile: "CharPolyProfile", tolerance: float
-) -> SpectrumReport:
-    """:func:`detect_constant_eigenvalues` on an already computed profile."""
-    _check_tolerance(tolerance)
-    c = coin.matrix
-    diagonal = np.abs(np.diag(c))
-    if diagonal.max() > tolerance:
-        # the x_i coefficient -lambda (C_ii mu + det C conj(C_i'i')) is linear in mu
-        i = int(diagonal.argmax())
-        roots, multiplicity = [-profile.det_coin * np.conj(c[i ^ 1, i ^ 1]) / c[i, i]], 1
-    else:
-        # a constant p is det(lambda - C), so C^2 - mean has the eigenvalues
-        # +-(mu1 - mu2)/2, the pairs' distance on the unit circle; its square gives
-        # them to full precision, where the discriminant loses half the digits
-        c2 = c @ c
-        mean = np.trace(c2) / 4
-        centered = c2 - mean * np.eye(4)
-        half_split = np.sqrt(np.trace(centered @ centered) / 4)
-        if abs(half_split) <= tolerance:
-            roots, multiplicity = [mean], 2
-        else:
-            roots, multiplicity = [mean + half_split, mean - half_split], 1
-
-    constants = []
-    for mu in roots:
-        for value in (np.sqrt(mu), -np.sqrt(mu)):
-            # Horner's rule, in place: one grid-sized temporary
-            p = value - profile.e1
-            p *= value
-            p += profile.e2
-            p *= value
-            p -= profile.e3
-            p *= value
-            p += profile.e4
-            residual = float(np.abs(p).max())
-            if residual <= tolerance:
-                constants.append(ConstantEigenvalue(complex(value), residual, multiplicity))
-
-    constants.sort(key=lambda c: np.mod(np.angle(c.value), 2 * np.pi))
-    values = [c.value for c in constants]
-    pairing_ok = all(any(abs(v + w) <= tolerance for w in values) for v in values)
-    return SpectrumReport(
-        constants=tuple(constants),
-        grid_size=profile.grid_size,
-        tolerance=tolerance,
-        pairing_ok=pairing_ok,
-        four_constant=sum(c.multiplicity for c in constants) == 4,
-    )
-
-
-@dataclass(frozen=True)
 class CharPolyProfile:
     """Characteristic-polynomial coefficients sampled over a momentum grid.
 
-    ``e1`` .. ``e4`` hold the elementary symmetric functions of the four
+    ``e1`` .. ``e4`` are the elementary symmetric functions of the four
     eigenvalues per grid cell (trace, lambda^2 coefficient, lambda
-    coefficient, determinant).  ``e3`` and ``e4`` are closed form:
-    ``e3 = det C * conj(e1)`` and ``e4`` is the coin determinant at every
-    cell.  ``c_zero`` reports whether the lambda^2 coefficient is
-    momentum-independent, the condition under which constant eigenvalues
-    can exist at all.
+    coefficient, determinant).  Only ``e1``, ``e2`` and the coin
+    determinant are stored: ``e3 = det C * conj(e1)`` and ``e4``, the coin
+    determinant at every cell, are derived on access.  ``c_zero`` reports
+    whether the lambda^2 coefficient is momentum-independent, the
+    condition under which constant eigenvalues can exist at all.
     """
 
     grid_size: int
     e1: np.ndarray
     e2: np.ndarray
-    e3: np.ndarray
-    e4: np.ndarray
     det_coin: complex
+
+    @property
+    def e3(self) -> np.ndarray:
+        return self.det_coin * self.e1.conj()
+
+    @property
+    def e4(self) -> np.ndarray:
+        return np.full(self.e1.shape, self.det_coin)
 
     @property
     def variances(self) -> dict[str, float]:
@@ -240,6 +141,114 @@ class CharPolyProfile:
         }
 
 
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Outcome of a constant-eigenvalue scan over an M x M momentum grid.
+
+    ``profile`` is the characteristic-polynomial profile the candidates
+    were checked on, and ``to_json_dict`` includes its fields.
+    ``pairing_ok`` records whether every detected value has its negative
+    detected too; ``four_constant`` flags coins whose entire spectrum is
+    momentum-independent.  That happens exactly when the coin has zero
+    diagonal and C_RU C_UR = C_RD C_DR = C_LU C_UL = C_LD C_DL = 0, as for
+    the swap coin.
+    """
+
+    constants: tuple[ConstantEigenvalue, ...]
+    profile: CharPolyProfile
+    tolerance: float
+    pairing_ok: bool
+    four_constant: bool
+
+    @property
+    def grid_size(self) -> int:
+        return self.profile.grid_size
+
+    def values(self) -> list[complex]:
+        return [c.value for c in self.constants]
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self.profile.to_json_dict(),
+            "constants": [
+                {
+                    "re": c.value.real,
+                    "im": c.value.imag,
+                    "max_residual": c.max_residual,
+                    "multiplicity": c.multiplicity,
+                }
+                for c in self.constants
+            ],
+            "tolerance": self.tolerance,
+            "pairing_ok": self.pairing_ok,
+            "four_constant": self.four_constant,
+        }
+
+
+def detect_constant_eigenvalues(
+    coin: CoinOperator, grid_size: int = 64, tolerance: float = 1e-8
+) -> SpectrumReport:
+    """Find eigenvalues of the momentum step matrix that never move.
+
+    A diagonal entry C_ii above ``tolerance`` fixes one simple pair
+    +-sqrt(mu), mu = -det C conj(C_i'i') / C_ii with i' the partner of i;
+    with a zero diagonal the candidates are the square roots of the
+    eigenvalues of C^2, pairs within ``tolerance`` merging into a double
+    pair.  A candidate is kept if its ``max_residual``, the worst |p| on
+    the M x M grid of :func:`char_poly_profile`, is within ``tolerance``:
+    the grid sees every frequency, so it lies between p's largest
+    coefficient and 9x it.  The profile is built once and returned as the
+    report's ``profile``.  Raises ValueError for a grid below 8, then for
+    a tolerance outside [1e-12, 1e-4].
+    """
+    profile = char_poly_profile(coin, grid_size)
+    _check_tolerance(tolerance)
+    c = coin.matrix
+    diagonal = np.abs(np.diag(c))
+    if diagonal.max() > tolerance:
+        # the x_i coefficient -lambda (C_ii mu + det C conj(C_i'i')) is linear in mu
+        i = int(diagonal.argmax())
+        roots, multiplicity = [-profile.det_coin * np.conj(c[i ^ 1, i ^ 1]) / c[i, i]], 1
+    else:
+        # a constant p is det(lambda - C), so C^2 - mean has the eigenvalues
+        # +-(mu1 - mu2)/2, the pairs' distance on the unit circle; its square gives
+        # them to full precision, where the discriminant loses half the digits
+        c2 = c @ c
+        mean = np.trace(c2) / 4
+        centered = c2 - mean * np.eye(4)
+        half_split = np.sqrt(np.trace(centered @ centered) / 4)
+        if abs(half_split) <= tolerance:
+            roots, multiplicity = [mean], 2
+        else:
+            roots, multiplicity = [mean + half_split, mean - half_split], 1
+
+    constants = []
+    for mu in roots:
+        for value in (np.sqrt(mu), -np.sqrt(mu)):
+            # Horner's rule in place, with e3 and e4 read off det C and e1
+            p = value - profile.e1
+            p *= value
+            p += profile.e2
+            p *= value
+            p -= profile.det_coin * profile.e1.conj()
+            p *= value
+            p += profile.det_coin
+            residual = float(np.abs(p).max())
+            if residual <= tolerance:
+                constants.append(ConstantEigenvalue(complex(value), residual, multiplicity))
+
+    constants.sort(key=lambda c: np.mod(np.angle(c.value), 2 * np.pi))
+    values = [c.value for c in constants]
+    pairing_ok = all(any(abs(v + w) <= tolerance for w in values) for v in values)
+    return SpectrumReport(
+        constants=tuple(constants),
+        profile=profile,
+        tolerance=tolerance,
+        pairing_ok=pairing_ok,
+        four_constant=sum(c.multiplicity for c in constants) == 4,
+    )
+
+
 def _complex_variance(values) -> float:
     centered = values - values.mean()
     return float(np.mean(centered.real**2 + centered.imag**2))
@@ -261,18 +270,9 @@ def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfil
     det_coin = complex(np.linalg.det(coin.matrix))
     e1 = np.trace(symbol, axis1=-2, axis2=-1)
     e2 = (e1**2 - np.einsum("...ij,...ji->...", symbol, symbol)) / 2
-    e3 = det_coin * e1.conj()
-    e4 = np.full(e1.shape, det_coin)
-    for arr in (e1, e2, e3, e4):
+    for arr in (e1, e2):
         arr.flags.writeable = False
-    return CharPolyProfile(
-        grid_size=grid_size,
-        e1=e1,
-        e2=e2,
-        e3=e3,
-        e4=e4,
-        det_coin=det_coin,
-    )
+    return CharPolyProfile(grid_size=grid_size, e1=e1, e2=e2, det_coin=det_coin)
 
 
 def grover_constant_eigenvectors(momentum) -> tuple[np.ndarray, np.ndarray]:

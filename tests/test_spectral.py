@@ -1,6 +1,7 @@
 """Momentum propagator spectra, constant-eigenvalue detection, char poly."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qwalk2d import (
     random_coin,
     spectral,
 )
+from qwalk2d import cli
 from qwalk2d.cli import main
 
 from conftest import permutation_coin
@@ -326,9 +328,24 @@ def test_detection_runs_no_eigensolve_and_spectrum_builds_one_symbol(
     for name in ("grover", "swap", "hadamard4"):
         detect_constant_eigenvalues(builtin_coin(name), 32, 1e-8)
     builds.clear()
+    detections = []
+    detect = cli.detect_constant_eigenvalues
+    monkeypatch.setattr(
+        cli, "detect_constant_eigenvalues", lambda *args: detections.append(args) or detect(*args)
+    )
     assert main(["spectrum", "--coin", "grover", "--grid", "32", "--out", str(tmp_path)]) == 0
     assert "constants=2" in capsys.readouterr().out
     assert len(builds) == 1
+    assert len(detections) == 1
+
+
+@pytest.mark.parametrize("name", ["grover", "swap", "hadamard4"])
+def test_spectrum_json_is_the_report_dict(name, tmp_path):
+    assert main(["spectrum", "--coin", name, "--grid", "16", "--tol", "1e-8",
+                 "--out", str(tmp_path)]) == 0
+    report = detect_constant_eigenvalues(builtin_coin(name), 16, 1e-8)
+    expected = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "spectrum.json").read_text(encoding="utf-8") == expected
 
 
 # ------------------------------------------------------ char poly profile
@@ -395,6 +412,9 @@ def test_spectrum_report_json_fields():
     payload = detect_constant_eigenvalues(builtin_coin("grover"), 16, 1e-8).to_json_dict()
     assert payload["grid_size"] == 16
     assert payload["tolerance"] == 1e-8
+    assert payload["c_zero"] is True
+    assert payload["det_coin"] == pytest.approx({"re": -1.0, "im": 0.0}, abs=1e-13)
+    assert payload["e2_variance"] <= 1e-10
     assert payload["pairing_ok"] is True
     assert payload["four_constant"] is False
     res = sorted(payload["constants"], key=lambda c: c["re"])
