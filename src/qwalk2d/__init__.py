@@ -10,8 +10,6 @@ from .dynamics import (
     BUILTIN_COIN_NAMES,
     CoinError,
     CoinOperator,
-    apply_coin,
-    apply_shift,
     builtin_coin,
     evolve,
     evolve_momentum,
@@ -64,8 +62,6 @@ __all__ = [
     "RevivalReport",
     "SpectrumReport",
     "StationaryStateSet",
-    "apply_coin",
-    "apply_shift",
     "builtin_coin",
     "char_poly_profile",
     "detect_constant_eigenvalues",

@@ -30,7 +30,9 @@ compact cluster walks rotated, and sites strung along an axis keep a thin
 
 ``_trajectory`` is the package's only time-stepping loop: :func:`evolve`
 and the revival scans in :mod:`qwalk2d.revival` all consume the windows it
-yields, so each of them walks the lattice once.
+yields, so each of them walks the lattice once, and :func:`step` is
+:func:`evolve` for one step.  There is no separate coin or shift entry: a
+step with the identity coin is the bare shift.
 
 The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
@@ -47,15 +49,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PositionState, _COORD_LIMIT, _KEY_BASE, _check_coords, _decode
+from .states import PositionState, _COORD_LIMIT, _check_coords, _decode, _encode
 
 __all__ = [
     "BUILTIN_COIN_NAMES",
     "CoinError",
     "CoinOperator",
     "UNITARITY_TOL",
-    "apply_coin",
-    "apply_shift",
     "builtin_coin",
     "evolve",
     "evolve_momentum",
@@ -171,13 +171,6 @@ def random_coin(rng=None) -> CoinOperator:
     return CoinOperator(q, name="random")
 
 
-def apply_coin(state: PositionState, coin: CoinOperator) -> PositionState:
-    """Left-multiply every occupied site's 4-vector by the coin matrix."""
-    if state.n_sites == 0:
-        return state
-    return PositionState._from_sorted(state._keys, state._amps @ coin.matrix.T)
-
-
 class _Window(NamedTuple):
     """Amplitudes on a box of the lattice, in one of two frames.
 
@@ -280,7 +273,7 @@ def _grid_sites(m0, n0, grid, rotated=False):
     amps[amps == 0] = 0
     m, n = _sites(m0, n0, keep // width, keep % width, rotated)
     _check_coords(m, n)
-    return m * _KEY_BASE + n, amps
+    return _encode(m, n), amps
 
 
 def _to_state(windows: list[_Window]) -> PositionState:
@@ -381,24 +374,6 @@ def _norm(windows: list[_Window]) -> float:
     return math.sqrt(sum(np.vdot(g, g).real for window in windows for g in window.grid))
 
 
-_IDENTITY = CoinOperator(np.eye(4), name="identity")
-
-
-def apply_shift(state: PositionState) -> PositionState:
-    """Move each direction component one site along its direction.
-
-    This is the walk step with the identity coin.  Raises ValueError if a
-    site would leave the range of lattice coordinates that states can
-    encode.
-    """
-    return step(state, _IDENTITY)
-
-
-def step(state: PositionState, coin: CoinOperator) -> PositionState:
-    """One walk step: coin flip followed by the conditional displacement."""
-    return _to_state(_step_windows(_to_windows(state, 1), coin))
-
-
 def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
     """Yield the walked state, as windows, after 0, 1, ..., ``steps`` steps.
 
@@ -420,6 +395,11 @@ def evolve(state: PositionState, coin: CoinOperator, steps: int) -> PositionStat
     for windows in _trajectory(state, coin, steps):
         pass
     return _to_state(windows)
+
+
+def step(state: PositionState, coin: CoinOperator) -> PositionState:
+    """One walk step: coin flip followed by the conditional displacement."""
+    return evolve(state, coin, 1)
 
 
 def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:

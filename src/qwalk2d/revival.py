@@ -8,8 +8,10 @@ states in closed form, searches for finite-support eigenstates of
 arbitrary coins by solving a box-restricted eigenproblem, and reads two
 observables off one walk: the fidelity to the initial state, whose first
 return to 1 is the revival period, and the return probability.  The
-search builds its eigen-equation with the walk's own shift and reads its
-null vectors back as boxes, as the walk does.
+search builds its eigen-equation with the walk's own shift, one column per
+cell of a (4, s, s) box in the walk's component-major layout, and reads
+each null vector back as such a box, as the walk does.  It searches the
+box [0, s)^2; :meth:`PositionState.translate` moves what it finds.
 
 The return probability after t steps is the probability of finding the
 walker at the lattice origin (0, 0), coin components traced out, for any
@@ -105,12 +107,9 @@ class StationaryStateSet:
 
 
 def find_local_stationary_states(
-    coin: CoinOperator,
-    eigenvalue: complex,
-    box_size: int,
-    origin: LatticePoint = (0, 0),
+    coin: CoinOperator, eigenvalue: complex, box_size: int
 ) -> StationaryStateSet:
-    """Eigenstates of the walk step supported inside an s x s site box.
+    """Eigenstates of the walk step supported inside the s x s box [0, s)^2.
 
     A state supported in the box maps, after one step, onto the box padded
     by one site in every direction; demanding step(state) = eigenvalue *
@@ -118,7 +117,9 @@ def find_local_stationary_states(
     size 4(s+2)^2 x 4s^2.  Its null space, computed by SVD with singular
     values thresholded at 1e-10 of the largest, is returned as an
     orthonormal list of states.  An empty list means no such eigenstate
-    exists; the eigenvalue must have unit modulus (within 1e-10).
+    exists; the eigenvalue must have unit modulus (within 1e-10).  The
+    step commutes with translations, so ``state.translate(offset)`` gives
+    the eigenstates of a box anywhere else.
     """
     eigenvalue = complex(eigenvalue)
     if not abs(abs(eigenvalue) - 1.0) <= 1e-10:
@@ -127,30 +128,26 @@ def find_local_stationary_states(
         raise ValueError("box_size must be at least 1")
 
     s = int(box_size)
-    m0, n0 = int(origin[0]), int(origin[1])
-    # column b is the basis state at box site (i, j), component c, in
-    # (i, j, c) order; its step lands in the box padded by one site
+    # column b is the basis state at box site (i, j), component c, in the
+    # walk's (c, i, j) order; its step lands in the box padded by one site
     b = np.arange(4 * s * s)
-    i, j, c = np.unravel_index(b, (s, s, 4))
+    c, i, j = np.unravel_index(b, (4, s, s))
     coined = np.zeros((b.size, 4, s, s), dtype=complex)
     coined[b, :, i, j] = coin.matrix.T[c]
     image = np.zeros((b.size, 4, s + 2, s + 2), dtype=complex)
     _shift_into(image, coined)
+    del coined  # free it before the SVD, the memory peak
     image[b, c, i + 1, j + 1] -= eigenvalue
-    # rows in (m, n, component) order over the padded box
-    matrix = image.transpose(2, 3, 1, 0).reshape(-1, b.size)
-    del coined, image  # free them before the SVD, the memory peak
 
-    _, singular, vh = np.linalg.svd(matrix)
+    # image[b] is column b of the eigen-equation, so its transpose is a view
+    _, singular, vh = np.linalg.svd(image.reshape(b.size, -1).T, full_matrices=False)
     null_rows = vh[singular <= NULL_SPACE_RTOL * singular[0]]
     states = tuple(
-        PositionState._from_sorted(*_grid_sites(m0, n0, grid))
-        for grid in null_rows.conj().reshape(-1, s, s, 4).transpose(0, 3, 1, 2)
+        PositionState._from_sorted(*_grid_sites(0, 0, box))
+        for box in null_rows.conj().reshape(-1, 4, s, s)
     )
     return StationaryStateSet(
-        eigenvalue=eigenvalue,
-        states=states,
-        support=((m0, n0), (m0 + s - 1, n0 + s - 1)),
+        eigenvalue=eigenvalue, states=states, support=((0, 0), (s - 1, s - 1))
     )
 
 
@@ -190,10 +187,6 @@ def _probability(vec) -> float:
     return float(np.sum(np.abs(vec) ** 2))
 
 
-def _origin_probability(windows) -> float:
-    return _probability(_amplitudes(windows, _ORIGIN)[0])
-
-
 def detect_period(
     initial: PositionState, coin: CoinOperator, t_max: int, tolerance: float = 1e-10
 ) -> RevivalReport:
@@ -212,14 +205,15 @@ def detect_period(
     _check_tolerance(tolerance)
     # the origin rides along as the last row: one window read per step
     points = np.array([*initial.points, (0, 0)], dtype=np.int64)
-    trajectory = _trajectory(initial, coin, t_max)
-    returns = [_origin_probability(next(trajectory))]
+    returns = []
     series = []
     period = None
     phase = None
-    for t, windows in enumerate(trajectory, start=1):
+    for t, windows in enumerate(_trajectory(initial, coin, t_max)):
         here = _amplitudes(windows, points)
         returns.append(_probability(here[-1]))
+        if t == 0:
+            continue  # the start, whose fidelity is 1
         here = here[:-1]
         # states are immutable, so ``initial`` keeps the norm checked above
         _check_norm(_norm(windows), "fidelity")
@@ -251,4 +245,7 @@ def return_probability_series(
     partially trapped); generic coins let it decay toward zero.
     """
     _require_normalized(initial, "return_probability_series")
-    return [_origin_probability(windows) for windows in _trajectory(initial, coin, t_max)]
+    return [
+        _probability(_amplitudes(windows, _ORIGIN)[0])
+        for windows in _trajectory(initial, coin, t_max)
+    ]

@@ -1,6 +1,9 @@
-"""The package imports without scipy, which is not one of its dependencies."""
+"""The package imports without scipy, which is not one of its dependencies,
+and every name it exports resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +32,17 @@ def test_package_and_every_submodule_import_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # tools look the public names up one by one, so a stale __all__ entry
+    # breaks them (and ``from qwalk2d import *``)
+    import qwalk2d
+
+    modules = [qwalk2d] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(qwalk2d.__path__, "qwalk2d.")
+    ]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -127,6 +127,15 @@ def test_translate_roundtrip_is_exact(rng):
         assert state.translate(v).norm() == state.norm()
 
 
+def test_translate_past_the_coordinate_limit_is_rejected():
+    limit = 2**30
+    edge = make_basis_state((limit - 2, 1 - limit), CoinComponent.R)
+    assert edge.translate((1, 0)).points == [(limit - 1, 1 - limit)]
+    for offset in ((2, 0), (0, -1), (-(2 * limit - 2), 0), (0, 2 * limit)):
+        with pytest.raises(ValueError, match="coordinates"):
+            edge.translate(offset)
+
+
 def test_orthogonal_support_norm_is_pythagorean(rng):
     a = random_state(rng, span=3)
     b = random_state(rng, span=3).translate((100, 100))
