@@ -32,8 +32,6 @@ from .spectral import (
     SpectrumReport,
     char_poly_profile,
     detect_constant_eigenvalues,
-    eigensystem,
-    grover_constant_eigenvectors,
     momentum_propagator,
 )
 from .states import (
@@ -66,12 +64,10 @@ __all__ = [
     "char_poly_profile",
     "detect_constant_eigenvalues",
     "detect_period",
-    "eigensystem",
     "evolve",
     "evolve_momentum",
     "fidelity",
     "find_local_stationary_states",
-    "grover_constant_eigenvectors",
     "grover_stationary_states",
     "inner_product",
     "load_coin",

@@ -3,8 +3,9 @@
 Each subcommand writes machine-readable CSV/JSON files into the output
 directory and prints a one-line summary to standard output; diagnostics go
 to standard error.  Exit codes: 0 on success, 3 for a ``CoinError``, 2 for
-any other ``ValueError``: a bad option or input file, or an input range
-(step counts, grid and box sizes, tolerances) the library functions reject.
+any other ``ValueError``: a bad option, an input file that cannot be read
+or parsed, an ``--out`` that is not a directory, or an input range (step
+counts, grid and box sizes, tolerances) the library functions reject.
 """
 
 import argparse
@@ -90,7 +91,10 @@ def _parse_complex_pair(text: str) -> complex:
 
 
 def _out_dir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {path}: {exc}") from None
     return path
 
 
@@ -229,10 +233,21 @@ _HANDLERS = {
 }
 
 
+def _join_lambda(argv: list[str]) -> list[str]:
+    """``--lambda X`` as ``--lambda=X``, since argparse reads X = -1,0 as an option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--lambda" and not arg.startswith("--"):
+            joined[-1] = f"--lambda={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_lambda(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PositionState, _COORD_LIMIT, _check_coords, _decode, _encode
+from .states import PositionState, _COORD_LIMIT, _check_coords, _decode, _encode, _integer
 
 __all__ = [
     "BUILTIN_COIN_NAMES",
@@ -377,15 +377,17 @@ def _norm(windows: list[_Window]) -> float:
 def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
     """Yield the walked state, as windows, after 0, 1, ..., ``steps`` steps.
 
-    Raises ValueError for a negative step count when iteration starts.
-    ``_step_windows`` is called through the module global, so a wrapper
-    installed on ``dynamics._step_windows`` sees every step.
+    Raises ValueError for a step count that is negative or not an integer
+    when iteration starts.  ``_step_windows`` is called through the module
+    global, so a wrapper installed on ``dynamics._step_windows`` sees every
+    step.
     """
+    steps = _integer(steps, "step count")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    windows = _to_windows(state, int(steps))
+    windows = _to_windows(state, steps)
     yield windows
-    for _ in range(int(steps)):
+    for _ in range(steps):
         windows = _step_windows(windows, coin)
         yield windows
 
@@ -432,12 +434,12 @@ def evolve_momentum(
     lattice_size`` for a support spanning ``span`` sites along its wider
     axis.  Resulting amplitudes below 1e-14 are dropped.
 
-    Raises ValueError for a negative step count, an odd or nonpositive box
-    size, a box too small for the wavefront, or a result with a site past
-    the coordinate limit.
+    Raises ValueError for a step count that is negative or not an integer,
+    a box size that is odd, nonpositive or not an integer, a box too small
+    for the wavefront, or a result with a site past the coordinate limit.
     """
-    steps = int(steps)
-    size = int(lattice_size)
+    steps = _integer(steps, "steps")
+    size = _integer(lattice_size, "lattice_size")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if size <= 0 or size % 2:
@@ -445,19 +447,17 @@ def evolve_momentum(
     if state.n_sites == 0:
         return state
 
-    points = np.array(state.points, dtype=np.int64)
-    low = points.min(axis=0)
-    high = points.max(axis=0)
-    span = int((high - low).max()) + 1
+    m, n = _decode(state._keys)
+    span = max(int(np.ptp(m)), int(np.ptp(n))) + 1
     if span + 2 * steps > size:
         raise ValueError(
             f"state support spans {span} sites and {steps} steps widen it by "
             f"{2 * steps}, exceeding the {size}-site periodic box"
         )
-    origin = (low + high + 1) // 2 - size // 2
+    m0, n0 = ((int(c.min()) + int(c.max()) + 1) // 2 - size // 2 for c in (m, n))
 
     grid = np.zeros((4, size, size), dtype=complex)
-    grid[:, points[:, 0] - origin[0], points[:, 1] - origin[1]] = state._amps.T
+    grid[:, m - m0, n - n0] = state._amps.T
 
     momentum = np.fft.fft2(grid, axes=(1, 2))
     # fft2 attaches e^{-2*pi*i*j*m/N} to site m: that is e^{ikm} at k = -2*pi*j/N
@@ -467,5 +467,5 @@ def evolve_momentum(
     grid = np.fft.ifft2(np.moveaxis(vectors[..., 0], -1, 0), axes=(1, 2))
 
     grid[np.abs(grid) < MOMENTUM_DROP_TOL] = 0
-    keys, amps = _grid_sites(int(origin[0]), int(origin[1]), grid)
+    keys, amps = _grid_sites(m0, n0, grid)
     return PositionState._from_sorted(keys, amps)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import CoinOperator, _amplitudes, _grid_sites, _norm, _shift_into, _trajectory
 from .spectral import _check_tolerance
-from .states import LatticePoint, PositionState, _check_norm, _require_normalized
+from .states import PositionState, _check_norm, _integer, _require_normalized
 
 __all__ = [
     "RevivalReport",
@@ -100,7 +100,6 @@ class StationaryStateSet:
 
     eigenvalue: complex
     states: tuple[PositionState, ...]
-    support: tuple[LatticePoint, LatticePoint]  # inclusive box corners
 
     def __len__(self):
         return len(self.states)
@@ -117,17 +116,18 @@ def find_local_stationary_states(
     size 4(s+2)^2 x 4s^2.  Its null space, computed by SVD with singular
     values thresholded at 1e-10 of the largest, is returned as an
     orthonormal list of states.  An empty list means no such eigenstate
-    exists; the eigenvalue must have unit modulus (within 1e-10).  The
-    step commutes with translations, so ``state.translate(offset)`` gives
-    the eigenstates of a box anywhere else.
+    exists; the eigenvalue must have unit modulus (within 1e-10) and
+    ``box_size`` must be a positive integer.  The step commutes with
+    translations, so ``state.translate(offset)`` gives the eigenstates of
+    a box anywhere else.
     """
     eigenvalue = complex(eigenvalue)
     if not abs(abs(eigenvalue) - 1.0) <= 1e-10:
         raise ValueError(f"eigenvalue must have unit modulus, got |{eigenvalue}|")
-    if box_size < 1:
+    s = _integer(box_size, "box_size")
+    if s < 1:
         raise ValueError("box_size must be at least 1")
 
-    s = int(box_size)
     # column b is the basis state at box site (i, j), component c, in the
     # walk's (c, i, j) order; its step lands in the box padded by one site
     b = np.arange(4 * s * s)
@@ -146,9 +146,7 @@ def find_local_stationary_states(
         PositionState._from_sorted(*_grid_sites(0, 0, box))
         for box in null_rows.conj().reshape(-1, 4, s, s)
     )
-    return StationaryStateSet(
-        eigenvalue=eigenvalue, states=states, support=((0, 0), (s - 1, s - 1))
-    )
+    return StationaryStateSet(eigenvalue=eigenvalue, states=states)
 
 
 @dataclass(frozen=True)

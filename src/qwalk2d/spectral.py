@@ -31,12 +31,8 @@ __all__ = [
     "SpectrumReport",
     "char_poly_profile",
     "detect_constant_eigenvalues",
-    "eigensystem",
-    "grover_constant_eigenvectors",
     "momentum_propagator",
 ]
-
-EIGENSYSTEM_UNITARITY_TOL = 1e-10
 
 # variance of the lambda^2 coefficient below which it counts as
 # momentum-independent
@@ -56,24 +52,6 @@ def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
     """The 4x4 step matrix at one momentum pair (k, l)."""
     k, l = momentum
     return _momentum_symbol(coin, [k], [l])[0, 0]
-
-
-def eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvectors of a 4x4 unitary matrix.
-
-    Returns ``(values, vectors)`` with ``vectors[:, i]`` belonging to
-    ``values[i]``, ordered by increasing phase angle on [0, 2*pi).  Raises
-    ValueError if the matrix deviates from unitarity by more than 1e-10.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    deviation = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max()
-    if deviation > EIGENSYSTEM_UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary: max |A^dag A - I| = {deviation:.6e}")
-    values, vectors = np.linalg.eig(matrix)
-    angles = np.angle(values)
-    angles[angles < 0] += 2 * np.pi
-    order = np.argsort(angles, kind="stable")
-    return values[order], vectors[:, order]
 
 
 @dataclass(frozen=True)
@@ -159,10 +137,6 @@ class SpectrumReport:
     tolerance: float
     pairing_ok: bool
     four_constant: bool
-
-    @property
-    def grid_size(self) -> int:
-        return self.profile.grid_size
 
     def values(self) -> list[complex]:
         return [c.value for c in self.constants]
@@ -273,18 +247,3 @@ def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfil
     for arr in (e1, e2):
         arr.flags.writeable = False
     return CharPolyProfile(grid_size=grid_size, e1=e1, e2=e2, det_coin=det_coin)
-
-
-def grover_constant_eigenvectors(momentum) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenvectors of the Grover-coin step matrix at (k, l).
-
-    Returns the non-normalized pair ``(v_plus, v_minus)``: the step fixes
-    ``v_plus`` and negates ``v_minus`` at every momentum.  Each degenerates
-    to the zero vector where its branch closes (k = l = pi for the first,
-    k = l = 0 for the second).
-    """
-    k, l = momentum
-    x, y = np.exp(1j * k), np.exp(1j * l)
-    v_plus = np.array([x * (1 + y), 1 + y, y * (1 + x), 1 + x])
-    v_minus = np.array([x * (1 - y), -1 + y, y * (1 - x), -1 + x])
-    return v_plus, v_minus

@@ -12,6 +12,7 @@ point in lexicographic (m, n) order, floats written with 17 significant
 digits so that load(save(state)) is exact.
 """
 
+import operator
 from enum import IntEnum
 
 import numpy as np
@@ -64,10 +65,19 @@ def _decode(keys):
 def _check_coords(m, n):
     m = np.asarray(m)
     n = np.asarray(n)
+    # bounds, not np.abs: abs(-2^63) wraps to -2^63 and would pass
     if m.size and (
-        np.abs(m).max() >= _COORD_LIMIT or np.abs(n).max() >= _COORD_LIMIT
+        min(m.min(), n.min()) <= -_COORD_LIMIT or max(m.max(), n.max()) >= _COORD_LIMIT
     ):
         raise ValueError(f"lattice coordinates must satisfy |m|, |n| < {_COORD_LIMIT}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer (numpy's included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(arr):
@@ -85,7 +95,7 @@ class PositionState:
         PositionState({(0, 0): (1, 0, 0, 0)})
 
     or through :func:`make_basis_state` / :func:`superpose`.  Construction
-    rejects non-finite amplitudes.
+    rejects non-finite amplitudes and coordinates that are not integers.
     """
 
     __slots__ = ("_keys", "_amps")
@@ -96,10 +106,11 @@ class PositionState:
             self._keys = _freeze(np.empty(0, dtype=np.int64))
             self._amps = _freeze(np.empty((0, 4), dtype=complex))
             return
-        points = np.array(sorted(amplitudes), dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] != 2:
+        points = np.array(sorted(amplitudes))
+        if points.ndim != 2 or points.shape[1] != 2 or points.dtype.kind not in "iu":
             raise ValueError("lattice points must be (m, n) integer pairs")
         _check_coords(points[:, 0], points[:, 1])
+        points = points.astype(np.int64)
         amps = np.array([amplitudes[m, n] for m, n in points], dtype=complex)
         if amps.shape != (len(points), 4):
             raise ValueError("each amplitude entry must have exactly 4 components")
@@ -129,8 +140,9 @@ class PositionState:
         return list(zip(m.tolist(), n.tolist()))
 
     def amplitude(self, point: LatticePoint) -> np.ndarray:
-        """The 4-vector at ``point`` (zeros if the point is unoccupied)."""
-        key = _encode(int(point[0]), int(point[1]))
+        """The 4-vector at the integer ``point`` (zeros if it is unoccupied)."""
+        m, n = (_integer(c, "lattice coordinate") for c in point)
+        key = _encode(m, n)
         i = np.searchsorted(self._keys, key)
         if i < self._keys.size and self._keys[i] == key:
             return self._amps[i].copy()
@@ -149,8 +161,8 @@ class PositionState:
         return float(np.linalg.norm(self._amps))
 
     def translate(self, offset: LatticePoint) -> "PositionState":
-        """Move every occupied point by ``offset``, amplitudes untouched."""
-        dm, dn = int(offset[0]), int(offset[1])
+        """Move every occupied point by the integer ``offset``, amplitudes untouched."""
+        dm, dn = (_integer(d, "offset coordinate") for d in offset)
         if dm == 0 and dn == 0:
             return self
         m, n = _decode(self._keys)
@@ -196,7 +208,7 @@ def make_basis_state(point: LatticePoint, component) -> PositionState:
     )
     vec = np.zeros(4, dtype=complex)
     vec[component] = 1.0
-    return PositionState({(int(point[0]), int(point[1])): vec})
+    return PositionState({tuple(point): vec})
 
 
 def superpose(terms) -> PositionState:
@@ -252,9 +264,15 @@ def save_state(state: PositionState, path) -> None:
 
 
 def load_state(path) -> PositionState:
-    """Read a state written by :func:`save_state`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    """Read a state written by :func:`save_state`.
+
+    Raises ValueError for a file that cannot be read or is malformed.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except OSError as exc:
+        raise ValueError(f"cannot read state file {path}: {exc}") from None
     if not lines or lines[0] != STATE_CSV_HEADER:
         raise ValueError(f"{path}: missing or malformed state CSV header")
     amplitudes = {}

@@ -155,6 +155,15 @@ def test_stationary_rerun_leaves_only_its_own_states(tmp_path, capsys):
     assert other.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("form", [("--lambda", "-1,0"), ("--lambda=-1,0",)])
+def test_stationary_negative_eigenvalue_finds_the_minus_state(tmp_path, capsys, form):
+    assert run_cli("stationary", "--coin", "grover", *form, "--box", 2,
+                   "--out", tmp_path) == 0
+    assert "lambda=-1,0 box=2: states=1" in capsys.readouterr().out
+    found = load_state(tmp_path / "stationary_00.csv")
+    assert fidelity(found, grover_stationary_states()[1]) >= 1 - 1e-10
+
+
 def test_stationary_hadamard4_finds_nothing(tmp_path, capsys):
     assert run_cli("stationary", "--coin", "hadamard4", "--lambda", "1,0", "--box", 3,
                    "--out", tmp_path) == 0
@@ -252,6 +261,25 @@ def test_unnormalized_initial_state_file_is_a_config_error(tmp_path, capsys):
                    "--tmax", 4, "--out", out) == 2
     assert "normalized" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unreadable_initial_state_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--coin", "grover", "--init", tmp_path,
+                   "--steps", 1, "--out", out) == 2
+    assert "qwalk2d: error: cannot read state file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_that_is_not_a_directory_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "run"):
+        assert run_cli("simulate", "--coin", "grover", "--init", "revival",
+                       "--steps", 1, "--out", out) == 2
+        assert f"qwalk2d: error: --out {out}" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_nan_lambda_is_a_config_error(tmp_path, capsys):

@@ -196,6 +196,18 @@ def test_evolve_rejects_negative_step_count():
         evolve(revival_state(), builtin_coin("grover"), -1)
 
 
+def test_non_integer_step_counts_are_rejected():
+    grover, start = builtin_coin("grover"), revival_state()
+    for steps in (2.5, 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            evolve(start, grover, steps)
+        with pytest.raises(ValueError, match="integer"):
+            evolve_momentum(start, grover, steps, 16)
+    with pytest.raises(ValueError, match="integer"):
+        evolve_momentum(start, grover, 2, 16.0)
+    assert evolve(start, grover, np.int64(2)) == evolve(start, grover, 2)
+
+
 def test_single_step_from_basis_state_by_hand():
     # coin column for R is (-1, 1, 1, 1)/2; the shift then fans it out
     after = step(make_basis_state((0, 0), CoinComponent.R), builtin_coin("grover"))

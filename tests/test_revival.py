@@ -77,7 +77,6 @@ def test_box_search_recovers_the_stationary_state():
     assert len(found.states) == 1
     plus, _ = grover_stationary_states()
     assert fidelity(found.states[0], plus) >= 1 - 1e-10
-    assert found.support == ((0, 0), (1, 1))
 
 
 def test_box_search_finds_the_negative_eigenstate_too():
@@ -93,6 +92,17 @@ def test_single_site_box_has_no_eigenstate():
 
 def test_hadamard4_has_no_finite_eigenstates():
     assert len(find_local_stationary_states(builtin_coin("hadamard4"), 1.0, 4).states) == 0
+
+
+def test_non_integer_counts_are_rejected():
+    grover = builtin_coin("grover")
+    with pytest.raises(ValueError, match="integer"):
+        detect_period(revival_state(), grover, 3.5)
+    with pytest.raises(ValueError, match="integer"):
+        return_probability_series(revival_state(), grover, 3.5)
+    with pytest.raises(ValueError, match="integer"):
+        find_local_stationary_states(grover, 1, 2.9)
+    assert len(find_local_stationary_states(grover, 1, np.int64(2))) == 1
 
 
 def test_search_is_empty_for_undetected_eigenvalues():

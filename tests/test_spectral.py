@@ -12,8 +12,6 @@ from qwalk2d import (
     builtin_coin,
     char_poly_profile,
     detect_constant_eigenvalues,
-    eigensystem,
-    grover_constant_eigenvectors,
     momentum_propagator,
     random_coin,
     spectral,
@@ -114,44 +112,15 @@ def test_propagator_is_unitary(rng):
     np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-13)
 
 
-# ---------------------------------------------------------------- eigensystem
-
-
-def test_eigensystem_of_grover_coin():
-    values, vectors = eigensystem(builtin_coin("grover").matrix)
-    assert values[0] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(values[1:], [-1, -1, -1], atol=1e-12)
-    for i in range(4):
-        assert np.linalg.norm(vectors[:, i]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eigensystem_of_identity():
-    values, _ = eigensystem(np.eye(4))
-    np.testing.assert_allclose(values, np.ones(4), atol=1e-15)
-
-
 def test_grover_propagator_spectrum_always_contains_plus_minus_one(rng):
     g = builtin_coin("grover")
+    # at zero momentum U is the coin J/2 - I, with spectrum {1, -1, -1, -1}
+    values = np.sort(np.linalg.eigvals(momentum_propagator(g, (0.0, 0.0))).real)
+    np.testing.assert_allclose(values, [-1, -1, -1, 1], atol=1e-12)
     for _ in range(20):
-        values, _ = eigensystem(momentum_propagator(g, tuple(2 * np.pi * rng.random(2))))
+        values = np.linalg.eigvals(momentum_propagator(g, tuple(2 * np.pi * rng.random(2))))
         assert np.abs(values - 1).min() < 1e-12
         assert np.abs(values + 1).min() < 1e-12
-
-
-def test_eigensystem_residuals_and_ordering(rng):
-    for _ in range(10):
-        matrix = momentum_propagator(random_coin(rng), tuple(2 * np.pi * rng.random(2)))
-        values, vectors = eigensystem(matrix)
-        for i in range(4):
-            assert np.linalg.norm(matrix @ vectors[:, i] - values[i] * vectors[:, i]) < 1e-10
-        angles = np.mod(np.angle(values), 2 * np.pi)
-        assert np.all(np.diff(angles) >= -1e-15)
-        np.testing.assert_allclose(np.abs(values), np.ones(4), atol=1e-10)
-
-
-def test_eigensystem_rejects_non_unitary():
-    with pytest.raises(ValueError, match="not unitary"):
-        eigensystem(builtin_coin("grover").matrix + 0.1)
 
 
 # ------------------------------------------------- constant-eigenvalue scan
@@ -425,20 +394,28 @@ def test_spectrum_report_json_fields():
 # -------------------------------------------- closed-form Grover eigenvectors
 
 
-def test_closed_form_vectors_at_corner_momenta():
-    v_plus, v_minus = grover_constant_eigenvectors((0.0, 0.0))
-    np.testing.assert_allclose(v_plus, 2 * np.ones(4), atol=1e-15)
-    np.testing.assert_allclose(v_minus, np.zeros(4), atol=1e-15)
+def grover_constant_eigenvectors(momentum):
+    """Non-normalized (v_plus, v_minus) with U v_plus = v_plus, U v_minus = -v_minus.
 
-    v_plus, v_minus = grover_constant_eigenvectors((np.pi, np.pi))
-    np.testing.assert_allclose(v_plus, np.zeros(4), atol=1e-15)
-    np.testing.assert_allclose(v_minus, -2 * np.ones(4), atol=1e-15)
+    Each vanishes where its branch closes: v_plus at k = l = pi, v_minus at
+    k = l = 0.
+    """
+    k, l = momentum
+    x, y = np.exp(1j * k), np.exp(1j * l)
+    v_plus = np.array([x * (1 + y), 1 + y, y * (1 + x), 1 + x])
+    v_minus = np.array([x * (1 - y), -1 + y, y * (1 - x), -1 + x])
+    return v_plus, v_minus
 
 
 def test_closed_form_vectors_satisfy_eigen_equations(rng):
     g = builtin_coin("grover")
-    for _ in range(100):
-        p = tuple(2 * np.pi * rng.random(2))
+    # at the corners U fixes or negates the uniform vector, 2 * ones
+    corners = [(0.0, 0.0), (np.pi, np.pi)]
+    np.testing.assert_allclose(grover_constant_eigenvectors(corners[0])[0], 2 * np.ones(4),
+                               atol=1e-15)
+    np.testing.assert_allclose(grover_constant_eigenvectors(corners[1])[1], -2 * np.ones(4),
+                               atol=1e-15)
+    for p in corners + [tuple(2 * np.pi * rng.random(2)) for _ in range(100)]:
         u = momentum_propagator(g, p)
         v_plus, v_minus = grover_constant_eigenvectors(p)
         assert np.linalg.norm(u @ v_plus - v_plus) <= 1e-12

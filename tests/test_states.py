@@ -136,6 +136,30 @@ def test_translate_past_the_coordinate_limit_is_rejected():
             edge.translate(offset)
 
 
+def test_non_integer_coordinates_are_rejected():
+    # a cast to int would put (0.5, 0) on (0, 0): a duplicate site, later lost
+    with pytest.raises(ValueError, match="integer"):
+        PositionState({(0, 0): (1, 0, 0, 0), (0.5, 0): (0, 1, 0, 0)})
+    for point in ((0, 1.5), (1.0, 0)):
+        with pytest.raises(ValueError, match="integer"):
+            make_basis_state(point, CoinComponent.R)
+    with pytest.raises(ValueError, match="integer"):
+        make_basis_state((0, 0), CoinComponent.R).translate((0.5, 0))
+    with pytest.raises(ValueError, match="integer"):
+        make_basis_state((0, 0), CoinComponent.R).amplitude((0.5, 0))
+    point = (np.int32(2), np.int64(-1))
+    moved = make_basis_state((0, 0), CoinComponent.R).translate(point)
+    assert moved == make_basis_state(point, CoinComponent.R)
+    assert moved.points == [(2, -1)]
+
+
+def test_construction_past_the_coordinate_limit_is_rejected():
+    # -2^63 is past the limit too, though its absolute value wraps below it
+    for point in ((2**30, 0), (0, -(2**30)), (-(2**63), 0), (0, -(2**63))):
+        with pytest.raises(ValueError, match="coordinates"):
+            PositionState({point: (1, 0, 0, 0)})
+
+
 def test_orthogonal_support_norm_is_pythagorean(rng):
     a = random_state(rng, span=3)
     b = random_state(rng, span=3).translate((100, 100))
@@ -243,6 +267,12 @@ def test_csv_load_rejects_bad_header(tmp_path):
     path.write_text("m,n,whatever\n0,0,1\n")
     with pytest.raises(ValueError):
         load_state(path)
+
+
+def test_csv_load_of_an_unreadable_path_is_a_value_error(tmp_path):
+    for path in (tmp_path, tmp_path / "missing.csv"):
+        with pytest.raises(ValueError, match="cannot read state file"):
+            load_state(path)
 
 
 def test_csv_load_rejects_duplicate_points(tmp_path):
