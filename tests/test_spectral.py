@@ -112,11 +112,20 @@ def test_propagator_is_unitary(rng):
     np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-13)
 
 
+def test_eigensystem_of_grover_coin():
+    # the Grover coin J/2 - I has spectrum {1, -1, -1, -1}, uniform vector fixed
+    values, vectors = np.linalg.eig(builtin_coin("grover").matrix)
+    order = np.argsort(-values.real)
+    values, vectors = values[order], vectors[:, order]
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(values[1:], [-1, -1, -1], atol=1e-12)
+    np.testing.assert_allclose(np.abs(vectors[:, 0]), 0.5 * np.ones(4), atol=1e-12)
+    for i in range(4):
+        assert np.linalg.norm(vectors[:, i]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_grover_propagator_spectrum_always_contains_plus_minus_one(rng):
     g = builtin_coin("grover")
-    # at zero momentum U is the coin J/2 - I, with spectrum {1, -1, -1, -1}
-    values = np.sort(np.linalg.eigvals(momentum_propagator(g, (0.0, 0.0))).real)
-    np.testing.assert_allclose(values, [-1, -1, -1, 1], atol=1e-12)
     for _ in range(20):
         values = np.linalg.eigvals(momentum_propagator(g, tuple(2 * np.pi * rng.random(2))))
         assert np.abs(values - 1).min() < 1e-12
@@ -407,15 +416,20 @@ def grover_constant_eigenvectors(momentum):
     return v_plus, v_minus
 
 
+def test_closed_form_vectors_at_corner_momenta():
+    v_plus, v_minus = grover_constant_eigenvectors((0.0, 0.0))
+    np.testing.assert_allclose(v_plus, 2 * np.ones(4), atol=1e-15)
+    np.testing.assert_allclose(v_minus, np.zeros(4), atol=1e-15)
+
+    v_plus, v_minus = grover_constant_eigenvectors((np.pi, np.pi))
+    np.testing.assert_allclose(v_plus, np.zeros(4), atol=1e-15)
+    np.testing.assert_allclose(v_minus, -2 * np.ones(4), atol=1e-15)
+
+
 def test_closed_form_vectors_satisfy_eigen_equations(rng):
     g = builtin_coin("grover")
-    # at the corners U fixes or negates the uniform vector, 2 * ones
-    corners = [(0.0, 0.0), (np.pi, np.pi)]
-    np.testing.assert_allclose(grover_constant_eigenvectors(corners[0])[0], 2 * np.ones(4),
-                               atol=1e-15)
-    np.testing.assert_allclose(grover_constant_eigenvectors(corners[1])[1], -2 * np.ones(4),
-                               atol=1e-15)
-    for p in corners + [tuple(2 * np.pi * rng.random(2)) for _ in range(100)]:
+    for _ in range(100):
+        p = tuple(2 * np.pi * rng.random(2))
         u = momentum_propagator(g, p)
         v_plus, v_minus = grover_constant_eigenvectors(p)
         assert np.linalg.norm(u @ v_plus - v_plus) <= 1e-12
