@@ -3,9 +3,10 @@
 Each subcommand writes machine-readable CSV/JSON files into the output
 directory and prints a one-line summary to standard output; diagnostics go
 to standard error.  Exit codes: 0 on success, 3 for a ``CoinError``, 2 for
-any other ``ValueError``: a bad option, an input file that cannot be read
-or parsed, an ``--out`` that is not a directory, or an input range (step
-counts, grid and box sizes, tolerances) the library functions reject.
+any other ``ValueError`` or an ``OSError``: a bad option, an input file
+that cannot be read or parsed, an ``--out`` that is not a directory, an
+output file that cannot be written, or an input range (step counts, grid
+and box sizes, tolerances) the library functions reject.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .states import (
     CoinComponent,
     PositionState,
     _require_normalized,
+    _write_csv,
     fidelity,
     load_state,
     make_basis_state,
@@ -104,13 +106,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_distribution(path: Path, distribution: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("m,n,prob\n")
-        for (m, n), prob in distribution.items():
-            fh.write(f"{m},{n},{prob:.17g}\n")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     coin = _resolve_coin(args.coin)
     initial = _resolve_initial(args.init)
@@ -118,7 +113,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     save_state(final, out / "state.csv")
     distribution = final.distribution()
-    _write_distribution(out / "distribution.csv", distribution)
+    m, n = zip(*distribution)
+    _write_csv(out / "distribution.csv", "m,n,prob", (m, n), (distribution.values(),))
     total = sum(distribution.values())
     print(
         f"simulate coin={args.coin} init={args.init} "
@@ -166,10 +162,8 @@ def cmd_revival(args: argparse.Namespace) -> int:
     report = detect_period(initial, coin, args.tmax, args.tol)
     out = _out_dir(args.out)
     _write_json(out / "revival.json", report.to_json_dict())
-    with open(out / "return_probability.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,prob\n")
-        for t, prob in enumerate(report.return_probability):
-            fh.write(f"{t},{prob:.17g}\n")
+    returns = report.return_probability
+    _write_csv(out / "return_probability.csv", "t,prob", (range(len(returns)),), (returns,))
     print(
         f"revival coin={args.coin} init={args.init} "
         f"tmax={args.tmax}: period={report.period}"
@@ -255,7 +249,7 @@ def main(argv=None) -> int:
     except CoinError as exc:
         print(f"qwalk2d: coin error: {exc}", file=sys.stderr)
         return EXIT_COIN
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qwalk2d: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

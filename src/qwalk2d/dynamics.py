@@ -72,8 +72,9 @@ MOMENTUM_DROP_TOL = 1e-14
 
 BUILTIN_COIN_NAMES = ("grover", "hadamard4", "dft4", "swap")
 
-# sites per band of the coin multiply in the window step, a size that keeps
-# the band's product in cache; a band is rows of either frame's box
+# a band of the coin multiply in the window step is 8 * (_BAND_SITES // width)
+# rows of either frame's box, at least 8: up to 8 * _BAND_SITES = 32,768
+# sites, 2 MiB of complex128 per product
 _BAND_SITES = 4096
 
 
@@ -332,10 +333,13 @@ def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
     A step pads an (m, n) box by one site on each side and moves its origin
     by (-1, -1); it pads a rotated box by one row and one column and moves
     its origin by (-1, 0), since every move changes m + n by one.  The coin
-    multiply runs over bands of rows that fit in cache, and each band is
-    shifted into place as soon as it is done.  A band is a whole number of
-    8-row blocks, so every band but the last holds a multiple of 8 sites
-    and BLAS rounds each site as in one product over the window.
+    multiply runs over bands of 8 * (_BAND_SITES // width) rows: 16,392 to
+    32,768 sites, up to 2 MiB of complex128 per product, in a box at most
+    4,096 sites wide, and 8 rows in a wider one.  Each band is shifted
+    into place as soon as it is done.
+    A band is a whole number of 8-row blocks, so every band but the last
+    holds a multiple of 8 sites and BLAS rounds each site as in one product
+    over the window.
     """
     stepped = []
     for m0, n0, grid, rotated in windows:

@@ -193,11 +193,13 @@ def detect_period(
     The criterion is fidelity >= 1 - tolerance, which is insensitive to a
     global phase; the recovered phase is reported separately.  Both series
     are always recorded out to ``t_max``, even past a detected revival.
-    Raises ValueError for an unnormalized start, ``t_max < 1``, or a
-    tolerance outside [1e-12, 1e-4], and, as :func:`qwalk2d.fidelity`
+    Raises ValueError for an unnormalized start, a ``t_max`` that is not an
+    integer of at least 1, or a tolerance that is not a real number in
+    [1e-12, 1e-4], and, as :func:`qwalk2d.fidelity`
     would, if the walked state drifts off norm 1 by more than 1e-9.
     """
     _require_normalized(initial, "detect_period")
+    t_max = _integer(t_max, "t_max")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     _check_tolerance(tolerance)

@@ -19,11 +19,13 @@ most two.  This module finds them with no eigensolve and profiles the
 coefficients e1..e4 of p over momentum grids.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CoinOperator, _momentum_symbol
+from .states import _integer
 
 __all__ = [
     "CharPolyProfile",
@@ -44,8 +46,8 @@ _TOLERANCE_RANGE = (1e-12, 1e-4)
 
 def _check_tolerance(tolerance: float) -> None:
     lo, hi = _TOLERANCE_RANGE
-    if not lo <= tolerance <= hi:
-        raise ValueError(f"tolerance must lie in [{lo:g}, {hi:g}]")
+    if not (isinstance(tolerance, numbers.Real) and lo <= tolerance <= hi):
+        raise ValueError(f"tolerance must be a real number in [{lo:g}, {hi:g}]")
 
 
 def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
@@ -172,8 +174,9 @@ def detect_constant_eigenvalues(
     the M x M grid of :func:`char_poly_profile`, is within ``tolerance``:
     the grid sees every frequency, so it lies between p's largest
     coefficient and 9x it.  The profile is built once and returned as the
-    report's ``profile``.  Raises ValueError for a grid below 8, then for
-    a tolerance outside [1e-12, 1e-4].
+    report's ``profile``.  Raises ValueError for a grid size that is not
+    an integer of at least 8, then for a tolerance that is not a real
+    number in [1e-12, 1e-4].
     """
     profile = char_poly_profile(coin, grid_size)
     _check_tolerance(tolerance)
@@ -235,8 +238,10 @@ def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfil
     at each of the grid_size^2 momentum cells, computed from traces of the
     step matrix U without an eigensolve: e1 = tr U and
     e2 = (e1^2 - tr U^2) / 2.  Because det U = det C and U is unitary,
-    e3 = det C * conj(e1) and e4 = det C exactly.
+    e3 = det C * conj(e1) and e4 = det C exactly.  Raises ValueError for a
+    grid size that is not an integer of at least 8.
     """
+    grid_size = _integer(grid_size, "grid_size")
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     momenta = 2 * np.pi * np.arange(grid_size) / grid_size

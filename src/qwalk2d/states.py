@@ -163,10 +163,13 @@ class PositionState:
     def translate(self, offset: LatticePoint) -> "PositionState":
         """Move every occupied point by the integer ``offset``, amplitudes untouched."""
         dm, dn = (_integer(d, "offset coordinate") for d in offset)
-        if dm == 0 and dn == 0:
+        if (dm == 0 and dn == 0) or not self.n_sites:
             return self
         m, n = _decode(self._keys)
-        _check_coords(m + dm, n + dn)
+        # an offset past twice the limit moves every point past it: clamped
+        # there, the int64 sums cannot overflow before the check
+        span = 2 * _COORD_LIMIT
+        _check_coords(m + max(-span, min(dm, span)), n + max(-span, min(dn, span)))
         return PositionState._from_sorted(self._keys + _encode(dm, dn), self._amps)
 
     def distribution(self) -> dict[LatticePoint, float]:
@@ -257,10 +260,15 @@ def save_state(state: PositionState, path) -> None:
     m, n = _decode(state._keys)
     # per row: re_R, im_R, re_L, im_L, re_U, im_U, re_D, im_D
     parts = np.ascontiguousarray(state._amps).view(float)
-    row = "%d,%d," + ",".join(["%.17g"] * 8) + "\n"
+    _write_csv(path, STATE_CSV_HEADER, (m.tolist(), n.tolist()), parts.T.tolist())
+
+
+def _write_csv(path, header: str, int_columns, float_columns) -> None:
+    """Write ``header``, then rows of the integer and the float columns (17 digits)."""
+    row = ",".join(["%d"] * len(int_columns) + ["%.17g"] * len(float_columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(STATE_CSV_HEADER + "\n")
-        fh.writelines(row % fields for fields in zip(m.tolist(), n.tolist(), *parts.T.tolist()))
+        fh.write(header + "\n")
+        fh.writelines(row % fields for fields in zip(*int_columns, *float_columns))
 
 
 def load_state(path) -> PositionState:

@@ -282,6 +282,15 @@ def test_out_that_is_not_a_directory_is_a_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [taken]
 
 
+def test_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "state.csv").mkdir()
+    assert run_cli("simulate", "--coin", "grover", "--init", "revival",
+                   "--steps", 1, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qwalk2d: error: ") and "state.csv" in err
+    assert "Traceback" not in err
+
+
 def test_nan_lambda_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("stationary", "--coin", "grover", "--lambda", "nan,0", "--box", 2,

@@ -46,3 +46,17 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_top_level_exports_exactly_the_library_modules_names():
+    # each public name is declared once, in its own module's __all__
+    import qwalk2d
+    from qwalk2d import dynamics, revival, spectral, states
+
+    library = (dynamics, revival, spectral, states)
+    joined = [name for module in library for name in module.__all__]
+    assert len(set(qwalk2d.__all__)) == len(qwalk2d.__all__)
+    assert qwalk2d.__all__ == joined
+    for module in library:
+        for name in module.__all__:
+            assert getattr(qwalk2d, name) is getattr(module, name), name

@@ -226,6 +226,13 @@ def test_detect_period_validates_input():
         detect_period(PositionState({(0, 0): (1, 1, 0, 0)}), grover, 5)
     with pytest.raises(ValueError, match="tolerance"):
         detect_period(revival_state(), grover, 5, tolerance=0.5)
+    for t_max in ("5", None, 5.0):
+        with pytest.raises(ValueError, match="t_max"):
+            detect_period(revival_state(), grover, t_max)
+    for tolerance in ("x", None, 1e-10j):
+        with pytest.raises(ValueError, match="tolerance"):
+            detect_period(revival_state(), grover, 5, tolerance=tolerance)
+    assert detect_period(revival_state(), grover, np.int64(5), np.float32(1e-10)).period == 2
 
 
 def test_revival_report_json():

@@ -168,6 +168,15 @@ def test_scan_validates_grid_and_tolerance():
         detect_constant_eigenvalues(g, 16, 1e-13)
     with pytest.raises(ValueError):
         detect_constant_eigenvalues(g, 16, 1e-3)
+    for grid in (8.5, 16.0, "16", None):
+        with pytest.raises(ValueError, match="grid_size"):
+            detect_constant_eigenvalues(g, grid, 1e-8)
+    for tolerance in ("x", "1e-8", None, 1e-8j, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            detect_constant_eigenvalues(g, 16, tolerance)
+    # numpy integers and floats still pass
+    report = detect_constant_eigenvalues(g, np.int64(16), np.float64(1e-8))
+    assert report.profile.grid_size == 16 and len(report.constants) == 2
 
 
 def test_scan_is_covariant_under_global_phase():
@@ -377,6 +386,10 @@ def test_detected_constants_imply_constant_lambda2_coefficient():
 def test_charpoly_validates_grid():
     with pytest.raises(ValueError):
         char_poly_profile(builtin_coin("grover"), 4)
+    for grid in (8.5, "16", None):
+        with pytest.raises(ValueError, match="grid_size"):
+            char_poly_profile(builtin_coin("grover"), grid)
+    assert char_poly_profile(builtin_coin("grover"), np.int32(8)).e1.shape == (8, 8)
 
 
 def test_charpoly_json_fields():

@@ -134,6 +134,13 @@ def test_translate_past_the_coordinate_limit_is_rejected():
     for offset in ((2, 0), (0, -1), (-(2 * limit - 2), 0), (0, 2 * limit)):
         with pytest.raises(ValueError, match="coordinates"):
             edge.translate(offset)
+    # offsets past int64 must not overflow before the check
+    origin = make_basis_state((0, 0), "R")
+    for d in (2**63, -(2**63), 2**64):
+        for offset in ((d, 0), (0, d)):
+            with pytest.raises(ValueError, match="coordinates"):
+                origin.translate(offset)
+    assert PositionState().translate((2**63, 0)) == PositionState()
 
 
 def test_non_integer_coordinates_are_rejected():
