@@ -335,11 +335,10 @@ def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
     its origin by (-1, 0), since every move changes m + n by one.  The coin
     multiply runs over bands of 8 * (_BAND_SITES // width) rows: 16,392 to
     32,768 sites, up to 2 MiB of complex128 per product, in a box at most
-    4,096 sites wide, and 8 rows in a wider one.  Each band is shifted
-    into place as soon as it is done.
-    A band is a whole number of 8-row blocks, so every band but the last
-    holds a multiple of 8 sites and BLAS rounds each site as in one product
-    over the window.
+    4,096 sites wide, and 8 rows in a wider one.  Each band is shifted into
+    place as soon as it is done.  A band is a whole number of 8-row blocks,
+    so every band but the last holds a multiple of 8 sites and BLAS rounds
+    each site as in one product over the window.
     """
     stepped = []
     for m0, n0, grid, rotated in windows:

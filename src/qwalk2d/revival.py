@@ -195,8 +195,8 @@ def detect_period(
     are always recorded out to ``t_max``, even past a detected revival.
     Raises ValueError for an unnormalized start, a ``t_max`` that is not an
     integer of at least 1, or a tolerance that is not a real number in
-    [1e-12, 1e-4], and, as :func:`qwalk2d.fidelity`
-    would, if the walked state drifts off norm 1 by more than 1e-9.
+    [1e-12, 1e-4], and, as :func:`qwalk2d.fidelity` would, if the walked
+    state drifts off norm 1 by more than 1e-9.
     """
     _require_normalized(initial, "detect_period")
     t_max = _integer(t_max, "t_max")
