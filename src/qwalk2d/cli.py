@@ -1,23 +1,26 @@
 """Command-line front end: simulate, spectrum, stationary, revival.
 
-Each subcommand writes machine-readable CSV/JSON files into the output
-directory and prints a one-line summary to standard output; diagnostics go
-to standard error.  Exit codes: 0 on success, 3 for a ``CoinError``, 2 for
-any other ``ValueError`` or an ``OSError``: a bad option, an input file
-that cannot be read or parsed, an ``--out`` that is not a directory, an
-output file that cannot be written, or an input range (step counts, grid
-and box sizes, tolerances) the library functions reject.
+Every subcommand takes ``--coin`` and ``--out``; ``simulate`` and
+``revival`` also take ``--init``.  Each writes machine-readable CSV/JSON
+files into the output directory and prints a one-line summary to standard
+output; diagnostics go to standard error.  Exit codes: 0 on success, 3 for
+a ``CoinError``, 2 for any other ``ValueError`` or an ``OSError``: a bad
+option, an input file that cannot be read or parsed, an ``--out`` that is
+not a directory, an output file that cannot be written, or an input range
+(step counts, grid and box sizes, tolerances) the library functions
+reject.  A run whose output cannot be written leaves none of its files.
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from .dynamics import (
     BUILTIN_COIN_NAMES,
     CoinError,
-    CoinOperator,
     builtin_coin,
     evolve,
     load_coin,
@@ -41,45 +44,32 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COIN = 3
 
-BUILTIN_INITIAL_NAMES = ("psi1", "psi2", "revival", "origin_symmetric")
+_COINS = {name: partial(builtin_coin, name) for name in BUILTIN_COIN_NAMES}
+_INITIAL_STATES = {
+    "psi1": lambda: grover_stationary_states()[0],
+    "psi2": lambda: grover_stationary_states()[1],
+    "revival": revival_state,
+    "origin_symmetric": lambda: PositionState({(0, 0): (0.5, 0.5, 0.5, 0.5)}),
+    **{f"basis:{c.name}": partial(make_basis_state, (0, 0), c) for c in CoinComponent},
+}
 
-def _resolve_coin(spec: str) -> CoinOperator:
-    if spec in BUILTIN_COIN_NAMES:
-        return builtin_coin(spec)
+
+def _resolve(what: str, spec: str, builtins: dict, load):
+    """``builtins[spec]()``, else ``load`` of the file ``spec`` names, else ValueError."""
+    if spec in builtins:
+        return builtins[spec]()
     path = Path(spec)
     if path.exists():
-        return load_coin(path)  # CoinError propagates to the caller
+        return load(path)  # CoinError and ValueError propagate to main
     raise ValueError(
-        f"unknown coin {spec!r}: not a built-in "
-        f"({', '.join(BUILTIN_COIN_NAMES)}) and no such file"
+        f"unknown {what} {spec!r}: not a built-in ({', '.join(builtins)}) and no such file"
     )
 
 
-def _resolve_initial(spec: str) -> PositionState:
-    if spec == "psi1":
-        return grover_stationary_states()[0]
-    if spec == "psi2":
-        return grover_stationary_states()[1]
-    if spec == "revival":
-        return revival_state()
-    if spec == "origin_symmetric":
-        return PositionState({(0, 0): (0.5, 0.5, 0.5, 0.5)})
-    if spec.startswith("basis:"):
-        name = spec.split(":", 1)[1]
-        try:
-            component = CoinComponent[name]
-        except KeyError:
-            raise ValueError(f"unknown coin component {name!r} in {spec!r}") from None
-        return make_basis_state((0, 0), component)
-    path = Path(spec)
-    if path.exists():
-        state = load_state(path)  # a ValueError is a configuration error in main
-        _require_normalized(state, f"--init {spec}")
-        return state
-    raise ValueError(
-        f"unknown initial state {spec!r}: not a built-in "
-        f"({', '.join(BUILTIN_INITIAL_NAMES)}, basis:R/L/U/D) and no such file"
-    )
+def _load_initial(path: Path) -> PositionState:
+    state = load_state(path)
+    _require_normalized(state, f"--init {path}")
+    return state
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -92,86 +82,107 @@ def _parse_complex_pair(text: str) -> complex:
         raise ValueError(f"expected 're,im', got {text!r}") from None
 
 
-def _out_dir(path: Path) -> Path:
+@contextmanager
+def _outputs(out: Path):
+    """Make the directory ``out`` and yield ``write(name, save, *args)``.
+
+    ``write`` calls ``save(*args, out / name)``.  An OSError in the block
+    removes the files written so far, new or overwritten, and propagates.
+    """
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"--out {path}: {exc}") from None
-    return path
+        raise ValueError(f"--out {out}: {exc}") from None
+    written = []
+
+    def write(name: str, save, *args) -> None:
+        save(*args, out / name)
+        written.append(out / name)
+
+    try:
+        yield write
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(payload: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    coin = _resolve_coin(args.coin)
-    initial = _resolve_initial(args.init)
+def cmd_simulate(args: argparse.Namespace) -> str:
+    coin = _resolve("coin", args.coin, _COINS, load_coin)
+    initial = _resolve("initial state", args.init, _INITIAL_STATES, _load_initial)
     final = evolve(initial, coin, args.steps)
-    out = _out_dir(args.out)
-    save_state(final, out / "state.csv")
-    distribution = final.distribution()
-    m, n = zip(*distribution)
-    _write_csv(out / "distribution.csv", "m,n,prob", (m, n), (distribution.values(),))
+    with _outputs(args.out) as write:
+        write("state.csv", save_state, final)
+        # built after save_state, so its rows and the state's are not held at once
+        distribution = final.distribution()
+        m, n = zip(*distribution)
+        write("distribution.csv", _write_csv, "m,n,prob", (m, n), (distribution.values(),))
     total = sum(distribution.values())
-    print(
+    return (
         f"simulate coin={args.coin} init={args.init} "
         f"steps={args.steps}: total_probability={total:.12g} "
         f"support={final.n_sites} fidelity_to_initial={fidelity(final, initial):.12g}"
     )
-    return EXIT_OK
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    coin = _resolve_coin(args.coin)
+def cmd_spectrum(args: argparse.Namespace) -> str:
+    coin = _resolve("coin", args.coin, _COINS, load_coin)
     report = detect_constant_eigenvalues(coin, args.grid, args.tol)
-    out = _out_dir(args.out)
-    _write_json(out / "spectrum.json", report.to_json_dict())
-    print(
+    with _outputs(args.out) as write:
+        write("spectrum.json", _write_json, report.to_json_dict())
+    return (
         f"spectrum coin={args.coin} grid={args.grid} tol={args.tol:g}: "
         f"constants={len(report.constants)} pairing_ok={report.pairing_ok} "
         f"four_constant={report.four_constant} c_zero={report.profile.c_zero}"
     )
-    return EXIT_OK
 
 
-def cmd_stationary(args: argparse.Namespace) -> int:
+def cmd_stationary(args: argparse.Namespace) -> str:
     eigenvalue = _parse_complex_pair(args.eigenvalue)
-    coin = _resolve_coin(args.coin)
+    coin = _resolve("coin", args.coin, _COINS, load_coin)
     found = find_local_stationary_states(coin, eigenvalue, args.box)
-    out = _out_dir(args.out)
-    # files of an earlier, larger search would outlive this one's count
-    for old in out.glob("stationary_*.csv"):
-        if old.stem.removeprefix("stationary_").isdigit():
-            old.unlink()
-    for i, state in enumerate(found.states):
-        save_state(state, out / f"stationary_{i:02d}.csv")
-    print(
+    with _outputs(args.out) as write:
+        # files of an earlier, larger search would outlive this one's count
+        for old in args.out.glob("stationary_*.csv"):
+            if old.stem.removeprefix("stationary_").isdigit():
+                old.unlink()
+        for i, state in enumerate(found.states):
+            write(f"stationary_{i:02d}.csv", save_state, state)
+    return (
         f"stationary coin={args.coin} "
         f"lambda={eigenvalue.real:g},{eigenvalue.imag:g} "
         f"box={args.box}: states={len(found.states)}"
     )
-    return EXIT_OK
 
 
-def cmd_revival(args: argparse.Namespace) -> int:
-    coin = _resolve_coin(args.coin)
-    initial = _resolve_initial(args.init)
+def cmd_revival(args: argparse.Namespace) -> str:
+    coin = _resolve("coin", args.coin, _COINS, load_coin)
+    initial = _resolve("initial state", args.init, _INITIAL_STATES, _load_initial)
     report = detect_period(initial, coin, args.tmax, args.tol)
-    out = _out_dir(args.out)
-    _write_json(out / "revival.json", report.to_json_dict())
-    returns = report.return_probability
-    _write_csv(out / "return_probability.csv", "t,prob", (range(len(returns)),), (returns,))
-    print(
+    with _outputs(args.out) as write:
+        write("revival.json", _write_json, report.to_json_dict())
+        returns = report.return_probability
+        write("return_probability.csv", _write_csv, "t,prob", (range(len(returns)),), (returns,))
+    return (
         f"revival coin={args.coin} init={args.init} "
         f"tmax={args.tmax}: period={report.period}"
     )
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--coin", required=True, help="built-in name or coin file")
+    shared.add_argument("--out", type=Path, default=Path("."))
+    with_init = argparse.ArgumentParser(add_help=False, parents=[shared])
+    with_init.add_argument(
+        "--init", required=True, help="built-in initial state name or state CSV file"
+    )
     parser = argparse.ArgumentParser(
         prog="qwalk2d",
         description="Four-state quantum walks on the 2-D lattice: "
@@ -179,27 +190,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simulate = sub.add_parser("simulate", help="evolve an initial state and dump it")
-    simulate.add_argument("--coin", required=True, help="built-in name or coin file")
-    simulate.add_argument(
-        "--init", required=True, help="built-in initial state name or state CSV file"
-    )
-    simulate.add_argument("--steps", type=int, required=True)
-    simulate.add_argument("--out", type=Path, default=Path("."))
+    for name, handler, parent, help in (
+        ("simulate", cmd_simulate, with_init, "evolve an initial state and dump it"),
+        ("spectrum", cmd_spectrum, shared,
+         "find constant eigenvalues in closed form and check them on a momentum grid"),
+        ("stationary", cmd_stationary, shared, "search a box for finite-support eigenstates"),
+        ("revival", cmd_revival, with_init, "detect revival period of an initial state"),
+    ):
+        sub.add_parser(name, parents=[parent], help=help).set_defaults(handler=handler)
+    simulate, spectrum, stationary, revival = sub.choices.values()
 
-    spectrum = sub.add_parser(
-        "spectrum",
-        help="find constant eigenvalues in closed form and check them on a momentum grid",
-    )
-    spectrum.add_argument("--coin", required=True)
+    simulate.add_argument("--steps", type=int, required=True)
+
     spectrum.add_argument("--grid", type=int, default=64)
     spectrum.add_argument("--tol", type=float, default=1e-8)
-    spectrum.add_argument("--out", type=Path, default=Path("."))
 
-    stationary = sub.add_parser(
-        "stationary", help="search a box for finite-support eigenstates"
-    )
-    stationary.add_argument("--coin", required=True)
     stationary.add_argument(
         "--lambda",
         dest="eigenvalue",
@@ -207,24 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="target eigenvalue as 're,im' (default 1,0)",
     )
     stationary.add_argument("--box", type=int, default=2)
-    stationary.add_argument("--out", type=Path, default=Path("."))
 
-    revival = sub.add_parser("revival", help="detect revival period of an initial state")
-    revival.add_argument("--coin", required=True)
-    revival.add_argument("--init", required=True)
     revival.add_argument("--tmax", type=int, required=True)
     revival.add_argument("--tol", type=float, default=1e-10)
-    revival.add_argument("--out", type=Path, default=Path("."))
 
     return parser
-
-
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "spectrum": cmd_spectrum,
-    "stationary": cmd_stationary,
-    "revival": cmd_revival,
-}
 
 
 def _join_lambda(argv: list[str]) -> list[str]:
@@ -245,13 +237,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        print(args.handler(args))
     except CoinError as exc:
         print(f"qwalk2d: coin error: {exc}", file=sys.stderr)
         return EXIT_COIN
     except (ValueError, OSError) as exc:
         print(f"qwalk2d: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

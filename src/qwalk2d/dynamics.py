@@ -70,7 +70,15 @@ UNITARITY_TOL = 1e-12
 # back to the sparse representation
 MOMENTUM_DROP_TOL = 1e-14
 
-BUILTIN_COIN_NAMES = ("grover", "hadamard4", "dft4", "swap")
+_HADAMARD2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_BUILTIN_COINS = {
+    "grover": 0.5 * np.ones((4, 4)) - np.eye(4),
+    "hadamard4": np.kron(_HADAMARD2, _HADAMARD2),
+    # powers of i taken from an exact table, entries i^(jk) / 2
+    "dft4": np.array([1.0, 1.0j, -1.0, -1.0j])[np.outer(np.arange(4), np.arange(4)) % 4] / 2.0,
+    "swap": np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float),
+}
+BUILTIN_COIN_NAMES = tuple(_BUILTIN_COINS)
 
 # a band of the coin multiply in the window step is 8 * (_BAND_SITES // width)
 # rows of either frame's box, at least 8: up to 8 * _BAND_SITES = 32,768
@@ -113,25 +121,12 @@ class CoinOperator:
 
 
 def builtin_coin(name: str) -> CoinOperator:
-    """One of the named 4x4 coins: grover, hadamard4, dft4, or swap."""
-    if name == "grover":
-        matrix = 0.5 * np.ones((4, 4)) - np.eye(4)
-    elif name == "hadamard4":
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        matrix = np.kron(h, h)
-    elif name == "dft4":
-        # powers of i taken from an exact table, entries i^(jk) / 2
-        powers = np.array([1.0, 1.0j, -1.0, -1.0j])
-        matrix = powers[np.outer(np.arange(4), np.arange(4)) % 4] / 2.0
-    elif name == "swap":
-        matrix = np.array(
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
-        )
-    else:
+    """The coin named ``name``, one of ``BUILTIN_COIN_NAMES``."""
+    if name not in BUILTIN_COIN_NAMES:
         raise ValueError(
             f"unknown built-in coin {name!r}; choose from {', '.join(BUILTIN_COIN_NAMES)}"
         )
-    return CoinOperator(matrix, name=name)
+    return CoinOperator(_BUILTIN_COINS[name], name=name)
 
 
 def load_coin(path) -> CoinOperator:
@@ -377,6 +372,14 @@ def _norm(windows: list[_Window]) -> float:
     return math.sqrt(sum(np.vdot(g, g).real for window in windows for g in window.grid))
 
 
+def _step_count(steps) -> int:
+    """``steps`` as an int; ValueError unless it is a nonnegative integer."""
+    steps = _integer(steps, "step count")
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
+    return steps
+
+
 def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
     """Yield the walked state, as windows, after 0, 1, ..., ``steps`` steps.
 
@@ -385,9 +388,7 @@ def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
     global, so a wrapper installed on ``dynamics._step_windows`` sees every
     step.
     """
-    steps = _integer(steps, "step count")
-    if steps < 0:
-        raise ValueError("step count must be nonnegative")
+    steps = _step_count(steps)
     windows = _to_windows(state, steps)
     yield windows
     for _ in range(steps):
@@ -441,10 +442,8 @@ def evolve_momentum(
     a box size that is odd, nonpositive or not an integer, a box too small
     for the wavefront, or a result with a site past the coordinate limit.
     """
-    steps = _integer(steps, "steps")
+    steps = _step_count(steps)
     size = _integer(lattice_size, "lattice_size")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     if size <= 0 or size % 2:
         raise ValueError("lattice_size must be a positive even integer")
     if state.n_sites == 0:

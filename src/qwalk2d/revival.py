@@ -202,7 +202,7 @@ def detect_period(
     t_max = _integer(t_max, "t_max")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     # the origin rides along as the last row: one window read per step
     points = np.array([*initial.points, (0, 0)], dtype=np.int64)
     returns = []

@@ -44,10 +44,11 @@ C_ZERO_VARIANCE_TOL = 1e-10
 _TOLERANCE_RANGE = (1e-12, 1e-4)
 
 
-def _check_tolerance(tolerance: float) -> None:
+def _check_tolerance(tolerance: float) -> float:
     lo, hi = _TOLERANCE_RANGE
     if not (isinstance(tolerance, numbers.Real) and lo <= tolerance <= hi):
         raise ValueError(f"tolerance must be a real number in [{lo:g}, {hi:g}]")
+    return float(tolerance)
 
 
 def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
@@ -179,7 +180,7 @@ def detect_constant_eigenvalues(
     number in [1e-12, 1e-4].
     """
     profile = char_poly_profile(coin, grid_size)
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     c = coin.matrix
     diagonal = np.abs(np.diag(c))
     if diagonal.max() > tolerance:
@@ -231,7 +232,7 @@ def _complex_variance(values) -> float:
     return float(np.mean(centered.real**2 + centered.imag**2))
 
 
-def char_poly_profile(coin: CoinOperator, grid_size: int = 32) -> CharPolyProfile:
+def char_poly_profile(coin: CoinOperator, grid_size: int) -> CharPolyProfile:
     """Sample the characteristic polynomial of the step matrix over a grid.
 
     The polynomial is lambda^4 - e1 lambda^3 + e2 lambda^2 - e3 lambda + e4

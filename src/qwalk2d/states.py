@@ -260,11 +260,11 @@ def save_state(state: PositionState, path) -> None:
     m, n = _decode(state._keys)
     # per row: re_R, im_R, re_L, im_L, re_U, im_U, re_D, im_D
     parts = np.ascontiguousarray(state._amps).view(float)
-    _write_csv(path, STATE_CSV_HEADER, (m.tolist(), n.tolist()), parts.T.tolist())
+    _write_csv(STATE_CSV_HEADER, (m.tolist(), n.tolist()), parts.T.tolist(), path)
 
 
-def _write_csv(path, header: str, int_columns, float_columns) -> None:
-    """Write ``header``, then rows of the integer and the float columns (17 digits)."""
+def _write_csv(header: str, int_columns, float_columns, path) -> None:
+    """Write ``header`` to ``path``, then rows of the integer and float columns (17 digits)."""
     row = ",".join(["%d"] * len(int_columns) + ["%.17g"] * len(float_columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")

@@ -1,12 +1,27 @@
 """End-to-end checks of the command-line interface and its file outputs."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qwalk2d import builtin_coin, dynamics, evolve, fidelity, load_state, revival_state
+from qwalk2d import (
+    BUILTIN_COIN_NAMES,
+    PositionState,
+    builtin_coin,
+    dynamics,
+    evolve,
+    fidelity,
+    grover_stationary_states,
+    load_state,
+    make_basis_state,
+    revival_state,
+)
 from qwalk2d.cli import main
-from qwalk2d.revival import grover_stationary_states
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args):
@@ -291,6 +306,23 @@ def test_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, blocked, first", [
+    (("simulate", "--init", "revival", "--steps", 1), "distribution.csv", "state.csv"),
+    (("revival", "--init", "revival", "--tmax", 4), "return_probability.csv", "revival.json"),
+])
+def test_a_failed_write_leaves_none_of_the_runs_files(tmp_path, capsys, command, blocked, first):
+    (tmp_path / blocked).mkdir()
+    (tmp_path / first).write_text("an earlier run\n")
+    (tmp_path / "notes.txt").write_text("kept\n")
+    assert run_cli(*command, "--coin", "grover", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qwalk2d: error: ") and blocked in err
+    # the overwritten output is gone too; the blocking path and other files stay
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([blocked, "notes.txt"])
+    assert (tmp_path / blocked).is_dir()
+    assert (tmp_path / "notes.txt").read_text() == "kept\n"
+
+
 def test_nan_lambda_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("stationary", "--coin", "grover", "--lambda", "nan,0", "--box", 2,
@@ -319,3 +351,58 @@ def test_bad_lambda_syntax_is_a_config_error(tmp_path, capsys):
 
 def test_missing_subcommand_is_a_config_error(capsys):
     assert run_cli() == 2
+
+
+# ----------------------------------------------------- built-ins and README
+
+
+def test_every_listed_initial_state_runs_and_is_the_library_state(tmp_path, capsys):
+    expected = {
+        "psi1": grover_stationary_states()[0],
+        "psi2": grover_stationary_states()[1],
+        "revival": revival_state(),
+        "origin_symmetric": PositionState({(0, 0): (0.5, 0.5, 0.5, 0.5)}),
+        **{f"basis:{c}": make_basis_state((0, 0), c) for c in "RLUD"},
+    }
+    assert run_cli("simulate", "--coin", "grover", "--init", "psi3",
+                   "--steps", 0, "--out", tmp_path) == 2
+    listed = re.search(r"not a built-in \((.*)\)", capsys.readouterr().err).group(1).split(", ")
+    assert sorted(listed) == sorted(expected)
+    for name in listed:
+        out = tmp_path / name.replace(":", "_")
+        assert run_cli("simulate", "--coin", "grover", "--init", name,
+                       "--steps", 0, "--out", out) == 0
+        assert load_state(out / "state.csv") == expected[name]
+
+
+def test_every_listed_coin_runs(tmp_path, capsys):
+    assert run_cli("spectrum", "--coin", "nope", "--out", tmp_path) == 2
+    listed = re.search(r"not a built-in \((.*)\)", capsys.readouterr().err).group(1).split(", ")
+    assert listed == list(BUILTIN_COIN_NAMES)
+    for name in listed:
+        assert run_cli("spectrum", "--coin", name, "--grid", 8, "--out", tmp_path / name) == 0
+        assert (tmp_path / name / "spectrum.json").exists()
+
+
+def readme_commands():
+    """(command line, files its comment names) for the README's Command line block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    commands = []
+    for line, comment in zip(lines, lines[1:]):
+        if line.startswith("qwalk2d "):
+            named = comment.lstrip("# ").split("  (")[0].split(", ")
+            commands.append((line, [name for name in named if name != "..."]))
+    return commands
+
+
+def test_readme_commands_run_and_write_the_files_they_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 4
+    for line, files in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert files, line
+        for name in files:
+            assert (tmp_path / name).is_file(), (line, name)

@@ -1,0 +1,36 @@
+"""The output comparison of tools/same_outputs.py, on two copies of ``src/``."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+COMMANDS = [
+    "revival --coin grover --init revival --tmax 4 --out {out}",
+    "simulate --coin grover --init psi3 --steps 1 --out {out}",
+]
+
+
+def test_copies_of_one_tree_are_the_same_and_a_changed_summary_differs(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for tree in (base, head):
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    assert same_outputs.compare(base, head, COMMANDS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["SAME", "SAME"]
+
+    cli = head / "src" / "qwalk2d" / "cli.py"
+    text = cli.read_text()
+    assert text.count(": period=") == 1
+    cli.write_text(text.replace(": period=", ": revival period="))
+    assert same_outputs.compare(base, head, COMMANDS) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"DIFF  qwalk2d {COMMANDS[0]}  (stdout)"
+    assert "+revival coin=grover init=revival tmax=4: revival period=2" in lines
+    assert lines[-1] == f"SAME  qwalk2d {COMMANDS[1]}"

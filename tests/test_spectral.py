@@ -12,8 +12,10 @@ from qwalk2d import (
     builtin_coin,
     char_poly_profile,
     detect_constant_eigenvalues,
+    detect_period,
     momentum_propagator,
     random_coin,
+    revival_state,
     spectral,
 )
 from qwalk2d import cli
@@ -411,6 +413,17 @@ def test_spectrum_report_json_fields():
     res = sorted(payload["constants"], key=lambda c: c["re"])
     assert res[0]["re"] == pytest.approx(-1.0, abs=1e-12)
     assert res[1]["re"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reports_store_a_numpy_tolerance_as_a_float():
+    grover = builtin_coin("grover")
+    reports = (
+        detect_constant_eigenvalues(grover, 16, np.float32(1e-8)),
+        detect_period(revival_state(), grover, 4, np.float32(1e-10)),
+    )
+    for report in reports:
+        assert type(report.tolerance) is float
+        assert json.loads(json.dumps(report.to_json_dict()))["tolerance"] == report.tolerance
 
 
 # -------------------------------------------- closed-form Grover eigenvectors

@@ -123,7 +123,8 @@ def _git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def _export(commit: str, dest: Path) -> None:
+def export(commit: str, dest: Path) -> None:
+    """The committed files of ``commit``, extracted into ``dest`` with ``git archive``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as workdir:
         checkouts = {side: Path(workdir) / side for side in SIDES}
         for side in SIDES:
-            _export(commits[side], checkouts[side])
+            export(commits[side], checkouts[side])
         for i in range(1, args.pairs + 1):
             order = SIDES if i % 2 else SIDES[::-1]
             pair = {"seed": args.seed, "first": order[0]}

@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Compare what the command line does at a base commit and at HEAD, command by command.
+
+Run from the repository root:
+
+    python3 tools/same_outputs.py --base <commit>
+
+The base commit and HEAD are each exported as ``tools/bench_pair.py``
+exports them, so only committed files take part.  Every command of
+``COMMANDS`` runs as the ``qwalk2d`` entry point with that tree's ``src``
+alone on PYTHONPATH, in a fresh directory that is also its ``--out``.  The
+exit code, standard output, standard error (with the run directory written
+as ``<out>``) and the bytes of every file left in the run directory are
+compared.  The tool prints SAME or DIFF per command, with a diff of the
+texts that differ, and exits 1 if any command differs.
+"""
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pair import export  # noqa: E402
+
+# ``{out}`` is the run directory; ``{haar}`` a coin file of a seeded Haar coin
+COMMANDS = [
+    "simulate --coin grover --init origin_symmetric --steps 60 --out {out}",
+    "simulate --coin {haar} --init origin_symmetric --steps 200 --out {out}",
+    "simulate --coin dft4 --init basis:U --steps 9 --out {out}",
+    "simulate --coin grover --init psi2 --steps 3 --out {out}",
+    "spectrum --coin grover --grid 64 --out {out}",
+    "spectrum --coin swap --grid 64 --out {out}",
+    "spectrum --coin hadamard4 --grid 64 --out {out}",
+    "stationary --coin grover --box 4 --out {out}",
+    "stationary --coin swap --lambda -1,0 --box 3 --out {out}",
+    "revival --coin grover --init revival --tmax 10 --out {out}",
+    "revival --coin grover --init origin_symmetric --tmax 150 --out {out}",
+    "simulate --coin nope --init revival --steps 1 --out {out}",
+    "simulate --coin grover --init psi3 --steps 1 --out {out}",
+    "spectrum --coin grover --tol 0.5 --out {out}",
+    "stationary --coin grover --lambda nan,0 --out {out}",
+    "",
+    "simulate",
+]
+
+ENTRY = "import sys; from qwalk2d.cli import main; sys.exit(main())"
+
+
+def write_haar_coin(path: Path, seed: int) -> None:
+    """A seeded Haar-random coin (QR of a complex Ginibre matrix) as a coin file."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
+    path.write_text("".join(
+        " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n" for row in q
+    ), encoding="utf-8")
+
+
+def _run(tree: Path, command: str, run_dir: Path) -> dict:
+    """Exit code, output texts and files of one command run on ``tree``."""
+    run_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = command.format(out=run_dir).split()
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=run_dir, env=env,
+                          capture_output=True, text=True, timeout=600)
+    files = {str(p.relative_to(run_dir)): p.read_bytes()
+             for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode,
+            "stdout": proc.stdout.replace(str(run_dir), "<out>"),
+            "stderr": proc.stderr.replace(str(run_dir), "<out>"),
+            "files": files}
+
+
+def compare(base: Path, head: Path, commands: list[str]) -> int:
+    """Run ``commands`` on the trees ``base`` and ``head``; 1 if any differs, else 0."""
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as workdir:
+        for i, command in enumerate(commands):
+            runs = [_run(tree, command, Path(workdir) / side / str(i))
+                    for side, tree in (("base", base), ("head", head))]
+            parts = [key for key in runs[0] if runs[0][key] != runs[1][key]]
+            differ = differ or bool(parts)
+            print(f"{'DIFF' if parts else 'SAME'}  qwalk2d {command}".rstrip()
+                  + (f"  ({', '.join(parts)})" if parts else ""))
+            if "files" in parts:
+                names = sorted(runs[0]["files"].keys() | runs[1]["files"].keys())
+                print("  files differ: " + ", ".join(
+                    n for n in names if runs[0]["files"].get(n) != runs[1]["files"].get(n)))
+            for key in ("stdout", "stderr"):
+                if key in parts:
+                    sys.stdout.writelines(difflib.unified_diff(
+                        runs[0][key].splitlines(True), runs[1][key].splitlines(True),
+                        f"base {key}", f"head {key}"))
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="commit compared with HEAD")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs-trees-") as trees:
+        base, head = Path(trees) / "base", Path(trees) / "head"
+        export(args.base, base)
+        export("HEAD", head)
+        haar = Path(trees) / "haar.coin"
+        write_haar_coin(haar, seed=3)
+        return compare(base, head, [c.replace("{haar}", str(haar)) for c in COMMANDS])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
