@@ -20,7 +20,9 @@ finite-support search in :mod:`qwalk2d.revival` shifts with it too).
 Border rows and columns that are all zero are then trimmed, so a
 stationary or localized state keeps a small window.
 :class:`PositionState` stays the input and output type; states are
-converted to windows and back only at the boundaries.  Before a walk of t
+converted to windows and back only at the boundaries: ``_to_windows``
+reads a state through ``PositionState._sites`` and ``_to_state`` builds one
+through ``PositionState._from_sites``, which checks it.  Before a walk of t
 steps the support is split, along m, n, u and v, at every gap wider than
 2t + 1: sites on either side of such a gap can never meet, so each group
 walks in its own windows and their union is exact.  Each group takes the
@@ -49,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PositionState, _COORD_LIMIT, _check_coords, _decode, _encode, _integer
+from .states import PositionState, _COORD_LIMIT, _check_coords, _integer
 
 __all__ = [
     "BUILTIN_COIN_NAMES",
@@ -232,10 +234,10 @@ def _to_windows(state: PositionState, steps: int) -> list[_Window]:
     ``steps`` steps, the rotated one on a tie: one box of (H + 2t)(W + 2t)
     cells, or one (A + t)(B + t) box per parity class of m + n.
     """
-    m, n = _decode(state._keys)
+    m, n, state_amps = state._sites()
     windows = []
     for group in _groups(m, n, 2 * steps + 1):
-        gm, gn, amps = m[group], n[group], state._amps[group]
+        gm, gn, amps = m[group], n[group], state_amps[group]
         # rotated box indices: u = m + n = 2r + p and v = m - n = 2c + p
         u, v = gm + gn, gm - gn
         r, c, parity = u >> 1, v >> 1, u & 1
@@ -255,31 +257,25 @@ def _to_windows(state: PositionState, steps: int) -> list[_Window]:
 
 
 def _grid_sites(m0, n0, grid, rotated=False):
-    """Keys and amplitudes of the occupied sites of a window's box, in box order.
+    """Coordinates m, n and amplitudes of the occupied sites of a window's box.
 
-    Box order is lexicographic in the (m, n) frame, so those keys are sorted,
-    as the stationary search and :func:`evolve_momentum` need; ``_to_state``
-    sorts a walk's keys.  Zero components come out as +0.  Raises ValueError
-    if an occupied site lies past the coordinate limit.
+    The sites come in box order; zero components come out as +0.
+    ``PositionState._from_sites`` takes the three arrays as they are.
     """
     width = grid.shape[2]
     flat = grid.reshape(4, -1).T
     keep = np.flatnonzero(flat.any(axis=1))
     amps = flat[keep]
     amps[amps == 0] = 0
-    m, n = _sites(m0, n0, keep // width, keep % width, rotated)
-    _check_coords(m, n)
-    return _encode(m, n), amps
+    return (*_sites(m0, n0, keep // width, keep % width, rotated), amps)
 
 
 def _to_state(windows: list[_Window]) -> PositionState:
     """The state the windows hold together (their supports are disjoint)."""
     if not windows:
         return PositionState()
-    keys, amps = zip(*(_grid_sites(*window) for window in windows))
-    keys = np.concatenate(keys)
-    order = np.argsort(keys)
-    return PositionState._from_sorted(keys[order], np.concatenate(amps)[order])
+    sites = zip(*(_grid_sites(*window) for window in windows))
+    return PositionState._from_sites(*(np.concatenate(arrays) for arrays in sites))
 
 
 def _trim(m0: int, n0: int, grid: np.ndarray, rotated: bool) -> list[_Window]:
@@ -449,7 +445,7 @@ def evolve_momentum(
     if state.n_sites == 0:
         return state
 
-    m, n = _decode(state._keys)
+    m, n, amps = state._sites()
     span = max(int(np.ptp(m)), int(np.ptp(n))) + 1
     if span + 2 * steps > size:
         raise ValueError(
@@ -459,7 +455,7 @@ def evolve_momentum(
     m0, n0 = ((int(c.min()) + int(c.max()) + 1) // 2 - size // 2 for c in (m, n))
 
     grid = np.zeros((4, size, size), dtype=complex)
-    grid[:, m - m0, n - n0] = state._amps.T
+    grid[:, m - m0, n - n0] = amps.T
 
     momentum = np.fft.fft2(grid, axes=(1, 2))
     # fft2 attaches e^{-2*pi*i*j*m/N} to site m: that is e^{ikm} at k = -2*pi*j/N
@@ -469,5 +465,4 @@ def evolve_momentum(
     grid = np.fft.ifft2(np.moveaxis(vectors[..., 0], -1, 0), axes=(1, 2))
 
     grid[np.abs(grid) < MOMENTUM_DROP_TOL] = 0
-    keys, amps = _grid_sites(m0, n0, grid)
-    return PositionState._from_sorted(keys, amps)
+    return PositionState._from_sites(*_grid_sites(m0, n0, grid))

@@ -143,7 +143,7 @@ def find_local_stationary_states(
     _, singular, vh = np.linalg.svd(image.reshape(b.size, -1).T, full_matrices=False)
     null_rows = vh[singular <= NULL_SPACE_RTOL * singular[0]]
     states = tuple(
-        PositionState._from_sorted(*_grid_sites(0, 0, box))
+        PositionState._from_sites(*_grid_sites(0, 0, box))
         for box in null_rows.conj().reshape(-1, 4, s, s)
     )
     return StationaryStateSet(eigenvalue=eigenvalue, states=states)
@@ -204,7 +204,8 @@ def detect_period(
         raise ValueError("t_max must be at least 1")
     tolerance = _check_tolerance(tolerance)
     # the origin rides along as the last row: one window read per step
-    points = np.array([*initial.points, (0, 0)], dtype=np.int64)
+    m, n, amps = initial._sites()
+    points = np.vstack([np.column_stack((m, n)), _ORIGIN])
     returns = []
     series = []
     period = None
@@ -219,7 +220,7 @@ def detect_period(
         _check_norm(_norm(windows), "fidelity")
         # <initial|state> over the sites both occupy, as inner_product sums it
         both = here.any(axis=1)
-        overlap = complex(np.sum(initial._amps[both].conj() * here[both]))
+        overlap = complex(np.sum(amps[both].conj() * here[both]))
         fidelity = min(1.0, abs(overlap) ** 2)
         series.append(fidelity)
         if period is None and fidelity >= 1.0 - tolerance:

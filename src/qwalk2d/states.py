@@ -1,10 +1,13 @@
 """Sparse walker states on the 2-D integer lattice with a four-direction coin.
 
 A state assigns a 4-component complex amplitude vector, ordered
-(R, L, U, D), to each occupied lattice point (m, n).  Only points carrying
-at least one nonzero component are stored; exact zeros are pruned.  States
-are immutable: every operation returns a new state and the backing arrays
-are flagged read-only, so instances can be shared freely across workers.
+(R, L, U, D), to each occupied lattice point (m, n).  Every state, however
+it is built, holds one invariant: integer |m|, |n| < 2^30, finite
+amplitudes, and only points with a nonzero component (exact zeros are
+pruned).  Breaking it raises ValueError, as do ``amplitude`` at a point
+past the limit and :func:`superpose` on a non-finite result.  States are
+immutable: every operation returns a new state and the backing arrays are
+flagged read-only, so instances can be shared freely across workers.
 
 The on-disk format is a UTF-8 CSV with header
 ``m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D``, one row per occupied
@@ -73,16 +76,13 @@ def _check_coords(m, n):
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is an integer (numpy's included)."""
+    """``value`` as an int; ValueError unless it is an integer (numpy's included, bool not)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _freeze(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 class PositionState:
@@ -95,39 +95,45 @@ class PositionState:
         PositionState({(0, 0): (1, 0, 0, 0)})
 
     or through :func:`make_basis_state` / :func:`superpose`.  Construction
-    rejects non-finite amplitudes and coordinates that are not integers.
+    rejects non-finite amplitudes and coordinates that are not integers or
+    lie past the limit.
     """
 
     __slots__ = ("_keys", "_amps")
 
     def __init__(self, amplitudes=None):
         amplitudes = dict(amplitudes or {})
-        if not amplitudes:
-            self._keys = _freeze(np.empty(0, dtype=np.int64))
-            self._amps = _freeze(np.empty((0, 4), dtype=complex))
-            return
-        points = np.array(sorted(amplitudes))
+        points = np.array([*amplitudes] or np.empty((0, 2), dtype=np.int64))
         if points.ndim != 2 or points.shape[1] != 2 or points.dtype.kind not in "iu":
             raise ValueError("lattice points must be (m, n) integer pairs")
-        _check_coords(points[:, 0], points[:, 1])
-        points = points.astype(np.int64)
-        amps = np.array([amplitudes[m, n] for m, n in points], dtype=complex)
+        amps = np.array([*amplitudes.values()] or np.empty((0, 4)), dtype=complex)
         if amps.shape != (len(points), 4):
             raise ValueError("each amplitude entry must have exactly 4 components")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        keys = _encode(points[:, 0], points[:, 1])
-        keep = np.any(amps != 0, axis=1)
-        self._keys = _freeze(keys[keep])
-        self._amps = _freeze(amps[keep])
+        state = PositionState._from_sites(points[:, 0], points[:, 1], amps)
+        self._keys, self._amps = state._keys, state._amps
 
     @classmethod
-    def _from_sorted(cls, keys, amps):
-        """Trusted fast path: keys sorted unique, no all-zero rows."""
+    def _from_sites(cls, m, n, amps):
+        """The state with ``amps[k]`` at the distinct points (m[k], n[k]).
+
+        Every state is built here.  Raises ValueError for a point past the
+        coordinate limit or a non-finite amplitude.
+        """
+        _check_coords(m, n)
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
+        rows = np.flatnonzero(amps.any(axis=1))
+        keys = _encode(np.asarray(m, dtype=np.int64)[rows], np.asarray(n, dtype=np.int64)[rows])
+        order = np.argsort(keys, kind="stable")
         state = cls.__new__(cls)
-        state._keys = _freeze(keys)
-        state._amps = _freeze(amps)
+        state._keys, state._amps = keys[order], amps[rows[order]]
+        state._keys.flags.writeable = state._amps.flags.writeable = False
         return state
+
+    def _sites(self):
+        """The occupied points' coordinates and (n, 4) amplitudes, as arrays in key order."""
+        m, n = _decode(self._keys)
+        return m, n, self._amps
 
     @property
     def n_sites(self) -> int:
@@ -142,6 +148,7 @@ class PositionState:
     def amplitude(self, point: LatticePoint) -> np.ndarray:
         """The 4-vector at the integer ``point`` (zeros if it is unoccupied)."""
         m, n = (_integer(c, "lattice coordinate") for c in point)
+        _check_coords(m, n)
         key = _encode(m, n)
         i = np.searchsorted(self._keys, key)
         if i < self._keys.size and self._keys[i] == key:
@@ -162,15 +169,14 @@ class PositionState:
 
     def translate(self, offset: LatticePoint) -> "PositionState":
         """Move every occupied point by the integer ``offset``, amplitudes untouched."""
-        dm, dn = (_integer(d, "offset coordinate") for d in offset)
-        if (dm == 0 and dn == 0) or not self.n_sites:
-            return self
-        m, n = _decode(self._keys)
         # an offset past twice the limit moves every point past it: clamped
         # there, the int64 sums cannot overflow before the check
         span = 2 * _COORD_LIMIT
-        _check_coords(m + max(-span, min(dm, span)), n + max(-span, min(dn, span)))
-        return PositionState._from_sorted(self._keys + _encode(dm, dn), self._amps)
+        dm, dn = (max(-span, min(_integer(d, "offset coordinate"), span)) for d in offset)
+        if (dm == 0 and dn == 0) or not self.n_sites:
+            return self
+        m, n, amps = self._sites()
+        return PositionState._from_sites(m + dm, n + dn, amps)
 
     def distribution(self) -> dict[LatticePoint, float]:
         """Probability of each occupied point (coin components traced out).
@@ -205,12 +211,13 @@ def _check_norm(norm, what):
 
 
 def make_basis_state(point: LatticePoint, component) -> PositionState:
-    """Unit state with a single amplitude at (point, component)."""
-    component = (
-        CoinComponent[component] if isinstance(component, str) else CoinComponent(component)
-    )
+    """Unit state with a single amplitude at (point, component): R, L, U, D or an index."""
+    if isinstance(component, str):
+        if component not in CoinComponent.__members__:
+            raise ValueError(f"unknown coin component {component!r}; choose from R, L, U, D")
+        component = CoinComponent[component]
     vec = np.zeros(4, dtype=complex)
-    vec[component] = 1.0
+    vec[CoinComponent(_integer(component, "coin component"))] = 1.0
     return PositionState({tuple(point): vec})
 
 
@@ -218,19 +225,20 @@ def superpose(terms) -> PositionState:
     """Pointwise linear combination ``sum_i coeff_i * state_i``.
 
     The result is not renormalized; points whose combined 4-vector is
-    exactly zero are pruned.  ``terms`` is a non-empty sequence of
-    (coefficient, state) pairs.
+    exactly zero are pruned, and a non-finite result raises ValueError.
+    ``terms`` is a non-empty sequence of (coefficient, state) pairs.
     """
     terms = list(terms)
     if not terms:
         raise ValueError("superpose needs at least one (coefficient, state) term")
     keys = np.concatenate([state._keys for _, state in terms])
-    amps = np.concatenate([complex(c) * state._amps for c, state in terms])
     out_keys, inverse = np.unique(keys, return_inverse=True)
     out = np.zeros((out_keys.size, 4), dtype=complex)
-    np.add.at(out, inverse, amps)
-    keep = np.any(out != 0, axis=1)
-    return PositionState._from_sorted(out_keys[keep], out[keep])
+    # a non-finite result is rejected by the constructor, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.concatenate([complex(c) * state._amps for c, state in terms])
+        np.add.at(out, inverse, amps)
+    return PositionState._from_sites(*_decode(out_keys), out)
 
 
 def inner_product(a: PositionState, b: PositionState) -> complex:
@@ -257,9 +265,9 @@ def fidelity(a: PositionState, b: PositionState) -> float:
 
 def save_state(state: PositionState, path) -> None:
     """Write a state to CSV (see the module docstring for the format)."""
-    m, n = _decode(state._keys)
-    # per row: re_R, im_R, re_L, im_L, re_U, im_U, re_D, im_D
-    parts = np.ascontiguousarray(state._amps).view(float)
+    m, n, amps = state._sites()
+    # per row: re_R, im_R, re_L, im_L, re_U, im_U, re_D, im_D (rows are C-contiguous)
+    parts = amps.view(float)
     _write_csv(STATE_CSV_HEADER, (m.tolist(), n.tolist()), parts.T.tolist(), path)
 
 

@@ -4,6 +4,9 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+from qwalk2d import load_state
+from qwalk2d.dynamics import _to_windows
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
@@ -34,3 +37,15 @@ def test_copies_of_one_tree_are_the_same_and_a_changed_summary_differs(tmp_path,
     assert lines[0] == f"DIFF  qwalk2d {COMMANDS[0]}  (stdout)"
     assert "+revival coin=grover init=revival tmax=4: revival period=2" in lines
     assert lines[-1] == f"SAME  qwalk2d {COMMANDS[1]}"
+
+
+def test_the_init_state_file_is_normalized_and_walks_in_two_frames(tmp_path):
+    path = tmp_path / "init.csv"
+    same_outputs.write_init_state(path, seed=3)
+    state = load_state(path)
+    assert state.n_sites == 57
+    assert abs(state.norm() - 1.0) < 1e-12
+    windows = _to_windows(state, same_outputs.INIT_STEPS)
+    # the line in one (m, n) box, the cluster in one rotated box per parity class
+    assert sorted(window.rotated for window in windows) == [False, True, True]
+    assert sum("{init}" in command for command in same_outputs.COMMANDS) == 2

@@ -8,15 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
     CoinComponent,
+    CoinOperator,
     PositionState,
+    builtin_coin,
+    char_poly_profile,
+    detect_period,
+    evolve,
+    evolve_momentum,
     fidelity,
     inner_product,
     load_state,
     make_basis_state,
     save_state,
+    step,
     superpose,
 )
-from qwalk2d.revival import grover_stationary_states, revival_state
+from qwalk2d.revival import find_local_stationary_states, grover_stationary_states, revival_state
 
 from conftest import amp_diff, random_state
 
@@ -298,3 +305,99 @@ def test_non_finite_amplitudes_are_rejected(tmp_path):
     path.write_text("m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n0,0,nan,0,0,0,0,0,0,0\n")
     with pytest.raises(ValueError, match="finite"):
         load_state(path)
+
+
+def test_amplitude_past_the_coordinate_limit_is_rejected():
+    # the key of (0, 2^32) is the key of (1, 0): unchecked, it read that site
+    state = make_basis_state((1, 0), "R")
+    for point in ((0, 2**32), (2**40, 0), (-(2**31), 0)):
+        with pytest.raises(ValueError, match="coordinates"):
+            state.amplitude(point)
+    np.testing.assert_array_equal(state.amplitude((2**30 - 1, 0)), [0, 0, 0, 0])
+
+
+def test_superpose_rejects_non_finite_results():
+    state = make_basis_state((0, 0), "R")
+    for terms in ([(math.nan, state)], [(math.inf, state)], [(1e308, state), (1e308, state)]):
+        # a warning would fail first: the suite turns warnings into errors
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            superpose(terms)
+    assert superpose([(1e308, state), (-1e308, state)]) == PositionState()
+
+
+def test_basis_state_components_are_names_or_integer_indices():
+    with pytest.raises(ValueError, match="R, L, U, D"):
+        make_basis_state((0, 0), "r")
+    # both used to mean L
+    for component in (1.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            make_basis_state((0, 0), component)
+    for component in ("U", 2, np.int64(2), CoinComponent.U):
+        assert make_basis_state((0, 0), component).amplitude((0, 0)).tolist() == [0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve(revival_state(), builtin_coin("grover"), True),
+    lambda: evolve_momentum(revival_state(), builtin_coin("grover"), True, 16),
+    lambda: make_basis_state((0, 0), "R").translate((True, 0)),
+    lambda: make_basis_state((0, 0), "R").amplitude((0, False)),
+    lambda: find_local_stationary_states(builtin_coin("grover"), 1, True),
+    lambda: detect_period(revival_state(), builtin_coin("grover"), True),
+    lambda: char_poly_profile(builtin_coin("grover"), True),
+], ids=["steps", "momentum steps", "offset", "point", "box_size", "t_max", "grid_size"])
+def test_bools_are_not_integers(call):
+    with pytest.raises(ValueError, match="must be an integer, got (True|False)"):
+        call()
+
+
+def test_every_state_producer_builds_through_the_one_constructor(monkeypatch, tmp_path):
+    built = []
+    from_sites = PositionState._from_sites.__func__
+
+    def counted(cls, m, n, amps):
+        built.append(len(amps))
+        return from_sites(cls, m, n, amps)
+
+    monkeypatch.setattr(PositionState, "_from_sites", classmethod(counted))
+    grover, start = builtin_coin("grover"), revival_state()
+    save_state(start, tmp_path / "start.csv")
+    producers = {
+        "init": lambda: PositionState({(0, 0): (1, 0, 0, 0)}),
+        "load_state": lambda: load_state(tmp_path / "start.csv"),
+        "translate": lambda: start.translate((3, -1)),
+        "superpose": lambda: superpose([(1, start), (1j, start)]),
+        "evolve": lambda: evolve(start, grover, 3),
+        "step": lambda: step(start, grover),
+        "evolve_momentum": lambda: evolve_momentum(start, grover, 3, 16),
+        "find_local_stationary_states": lambda: find_local_stationary_states(grover, 1, 2),
+    }
+    for name, produce in producers.items():
+        built.clear()
+        produce()
+        assert built, name
+
+
+def test_every_state_producer_rejects_a_broken_invariant():
+    edge = make_basis_state((2**30 - 1, 0), "R")
+    identity = CoinOperator(np.eye(4))
+    past_the_limit = [
+        lambda: PositionState({(2**30, 0): (1, 0, 0, 0)}),
+        lambda: PositionState._from_sites(np.array([0, 2**30]), np.array([0, 0]), np.eye(4)[:2]),
+        lambda: edge.translate((1, 0)),
+        lambda: step(edge, identity),
+        lambda: evolve(edge, identity, 2),
+        lambda: evolve_momentum(edge, identity, 1, 4),
+    ]
+    for produce in past_the_limit:
+        with pytest.raises(ValueError, match="coordinates"):
+            produce()
+    # a walk or a stationary search of finite amplitudes under a unitary coin
+    # stays finite; these producers take amplitudes from outside
+    non_finite = [
+        lambda: PositionState({(0, 0): (math.nan, 0, 0, 0)}),
+        lambda: PositionState._from_sites(np.array([0]), np.array([0]), np.array([[math.inf, 0, 0, 0]])),
+        lambda: superpose([(math.nan, edge)]),
+    ]
+    for produce in non_finite:
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            produce()

@@ -28,7 +28,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pair import export  # noqa: E402
 
-# ``{out}`` is the run directory; ``{haar}`` a coin file of a seeded Haar coin
+# steps of the walks from the ``--init`` state file, which it splits in two windows
+INIT_STEPS = 12
+
+# ``{out}`` is the run directory; ``{haar}`` a coin file of a seeded Haar coin;
+# ``{init}`` a state file of a seeded state (see ``write_init_state``)
 COMMANDS = [
     "simulate --coin grover --init origin_symmetric --steps 60 --out {out}",
     "simulate --coin {haar} --init origin_symmetric --steps 200 --out {out}",
@@ -41,6 +45,8 @@ COMMANDS = [
     "stationary --coin swap --lambda -1,0 --box 3 --out {out}",
     "revival --coin grover --init revival --tmax 10 --out {out}",
     "revival --coin grover --init origin_symmetric --tmax 150 --out {out}",
+    f"simulate --coin {{haar}} --init {{init}} --steps {INIT_STEPS} --out {{out}}",
+    f"revival --coin grover --init {{init}} --tmax {INIT_STEPS} --out {{out}}",
     "simulate --coin nope --init revival --steps 1 --out {out}",
     "simulate --coin grover --init psi3 --steps 1 --out {out}",
     "spectrum --coin grover --tol 0.5 --out {out}",
@@ -61,6 +67,23 @@ def write_haar_coin(path: Path, seed: int) -> None:
     path.write_text("".join(
         " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n" for row in q
     ), encoding="utf-8")
+
+
+def write_init_state(path: Path, seed: int) -> None:
+    """A seeded, normalized state file: a line of sites along m and a distant cluster.
+
+    The 48-site line at n = 0 walks ``INIT_STEPS`` steps in an (m, n) box; the
+    3x3 cluster sits more than 2 * INIT_STEPS + 1 sites further along m, so
+    it walks in windows of its own (rotated ones).
+    """
+    points = [(m, 0) for m in range(48)] + [(m, n) for m in range(90, 93) for n in range(40, 43)]
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(len(points), 4)) + 1j * rng.normal(size=(len(points), 4))
+    amps /= np.linalg.norm(amps)
+    rows = ("%d,%d," % point + ",".join(f"{float(x.real)!r},{float(x.imag)!r}" for x in vec)
+            for point, vec in zip(points, amps))
+    path.write_text("m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n"
+                    + "".join(row + "\n" for row in rows), encoding="utf-8")
 
 
 def _run(tree: Path, command: str, run_dir: Path) -> dict:
@@ -111,7 +134,10 @@ def main(argv=None) -> int:
         export("HEAD", head)
         haar = Path(trees) / "haar.coin"
         write_haar_coin(haar, seed=3)
-        return compare(base, head, [c.replace("{haar}", str(haar)) for c in COMMANDS])
+        init = Path(trees) / "init.csv"
+        write_init_state(init, seed=3)
+        return compare(base, head, [c.replace("{haar}", str(haar)).replace("{init}", str(init))
+                                    for c in COMMANDS])
 
 
 if __name__ == "__main__":
