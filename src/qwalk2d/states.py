@@ -131,7 +131,7 @@ class PositionState:
         return state
 
     def _sites(self):
-        """The occupied points' coordinates and (n, 4) amplitudes, as arrays in key order."""
+        """Arrays m, n and (n, 4) amplitudes of the occupied points, in (m, n) order."""
         m, n = _decode(self._keys)
         return m, n, self._amps
 
