@@ -274,8 +274,9 @@ def _to_state(windows: list[_Window]) -> PositionState:
     """The state the windows hold together (their supports are disjoint)."""
     if not windows:
         return PositionState()
-    sites = zip(*(_grid_sites(*window) for window in windows))
-    return PositionState._from_sites(*(np.concatenate(arrays) for arrays in sites))
+    # unpacked first, so the per-window arrays are freed before the state is built
+    m, n, amps = (np.concatenate(a) for a in zip(*(_grid_sites(*w) for w in windows)))
+    return PositionState._from_sites(m, n, amps)
 
 
 def _trim(m0: int, n0: int, grid: np.ndarray, rotated: bool) -> list[_Window]:

@@ -28,7 +28,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pair import export  # noqa: E402
 
-# steps of the walks from the ``--init`` state file, which it splits in two windows
+# steps of the two walks from the ``{init}`` state file (see ``write_init_state``)
 INIT_STEPS = 12
 
 # ``{out}`` is the run directory; ``{haar}`` a coin file of a seeded Haar coin;
