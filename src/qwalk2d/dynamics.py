@@ -13,12 +13,11 @@ by u = m + n and v = m - n in steps of 2, so it holds the sites of one
 parity class of u, and every step moves the whole class to the other one:
 after t steps from one site, the (t + 1)^2 sites it can reach fill the box,
 where an (m, n) box spans (2t + 1)^2 sites, three quarters of them empty.
-One step is ``C @ grid.reshape(4, -1)`` followed by ``_shift_into``, four
-slice copies into a zeroed box one step larger, read off ``_MOVES``, the
-package's one table of the R/L/U/D moves in both frames (the
-finite-support search in :mod:`qwalk2d.revival` shifts with it too).
-Border rows and columns that are all zero are then trimmed, so a
-stationary or localized state keeps a small window.
+``_step_box``, the only code that applies the step, does ``C @ grid`` and
+four slice copies into a zeroed box one step larger, read off ``_MOVES``,
+the one table of the R/L/U/D moves; :mod:`qwalk2d.revival` builds its box
+eigen-equation with it too.  The walk then trims border rows and columns
+that are all zero, so a stationary or localized state keeps a small window.
 :class:`PositionState` stays the input and output type; states are
 converted to windows and back only at the boundaries: ``_to_windows``
 reads a state through ``PositionState._sites`` and ``_to_state`` builds one
@@ -39,10 +38,10 @@ step with the identity coin is the bare shift.
 The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
 Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  That symbol, in that one sign
-convention, is built only by ``_momentum_symbol``.  :func:`evolve_momentum`
-powers it via FFTs and reproduces the direct path exactly; it raises
-unless ``span + 2*steps <= lattice_size``, so the wavefront cannot wrap
-around the box.
+convention, is built only by ``_momentum_symbol``, its phases read off
+``_MOVES``.  :func:`evolve_momentum` powers it via FFTs and reproduces the
+direct path exactly; it raises unless ``span + 2*steps <= lattice_size``,
+so the wavefront cannot wrap around the box.
 """
 
 import math
@@ -161,8 +160,8 @@ def load_coin(path) -> CoinOperator:
 
 
 def random_coin(rng=None) -> CoinOperator:
-    """A Haar-random 4x4 unitary coin (QR of a complex Ginibre matrix)."""
-    rng = rng or np.random.default_rng()
+    """A Haar-random 4x4 unitary coin; ``rng`` is a seed, a Generator or None (fresh)."""
+    rng = np.random.default_rng(rng)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
     q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
@@ -307,41 +306,40 @@ def _trim(m0: int, n0: int, grid: np.ndarray, rotated: bool) -> list[_Window]:
     return [_Window(m0, n0, grid, rotated)]
 
 
-def _shift_into(out: np.ndarray, rows: np.ndarray, rotated: bool = False) -> None:
-    """Move each component of ``rows`` (..., 4, H, W) one site into ``out``.
+def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np.ndarray:
+    """One walk step of the box ``grid`` (..., 4, H, W): ``C @ grid``, then the shift.
 
-    ``out`` is the box padded for one step, (..., 4, H+2, W+2) in the (m, n)
+    Returns the box padded for one step, (..., 4, H+2, W+2) in the (m, n)
     frame and (..., 4, H+1, W+1) in the rotated frame; leading axes are a
-    batch.  This is the package's one copy of the shift, read off ``_MOVES``.
+    batch.  The coin multiply runs over bands of 8 * (_BAND_SITES // W)
+    rows: 16,392 to 32,768 sites, up to 2 MiB of complex128 per product, in
+    a box at most 4,096 sites wide, and 8 rows in a wider one.  Each band
+    is shifted into place, read off ``_MOVES``, as soon as it is done.  A
+    band is a whole number of 8-row blocks, so every band but the last holds
+    a multiple of 8 sites and BLAS rounds each site as in one product over
+    the box.
     """
-    height, width = rows.shape[-2:]
-    for c, (i, j) in enumerate(_MOVES[rotated]):
-        out[..., c, i : i + height, j : j + width] = rows[..., c, :, :]
+    *batch, _, height, width = grid.shape
+    pad = 1 if rotated else 2
+    out = np.zeros((*batch, 4, height + pad, width + pad), dtype=complex)
+    band = 8 * max(1, _BAND_SITES // width)
+    for top in range(0, height, band):
+        rows = coin.matrix @ grid[..., top : top + band, :].reshape(*batch, 4, -1)
+        rows = rows.reshape(*batch, 4, -1, width)
+        for c, (i, j) in enumerate(_MOVES[rotated]):
+            out[..., c, top + i : top + i + rows.shape[-2], j : j + width] = rows[..., c, :, :]
+    return out
 
 
 def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
-    """One walk step of every window: ``C @ grid``, then the shift, then the trim.
+    """One walk step of every window: ``_step_box``, then the trim.
 
-    A step pads an (m, n) box by one site on each side and moves its origin
-    by (-1, -1); it pads a rotated box by one row and one column and moves
-    its origin by (-1, 0), since every move changes m + n by one.  The coin
-    multiply runs over bands of 8 * (_BAND_SITES // width) rows: 16,392 to
-    32,768 sites, up to 2 MiB of complex128 per product, in a box at most
-    4,096 sites wide, and 8 rows in a wider one.  Each band is shifted into
-    place as soon as it is done.  A band is a whole number of 8-row blocks,
-    so every band but the last holds a multiple of 8 sites and BLAS rounds
-    each site as in one product over the window.
+    A step moves the origin of an (m, n) box by (-1, -1) and that of a
+    rotated box by (-1, 0), since every move changes m + n by one.
     """
     stepped = []
     for m0, n0, grid, rotated in windows:
-        _, height, width = grid.shape
-        pad = 1 if rotated else 2
-        out = np.zeros((4, height + pad, width + pad), dtype=complex)
-        band = 8 * max(1, _BAND_SITES // width)
-        for top in range(0, height, band):
-            rows = coin.matrix @ grid[:, top : top + band].reshape(4, -1)
-            rows = rows.reshape(4, -1, width)
-            _shift_into(out[:, top : top + rows.shape[1] + pad], rows, rotated)
+        out = _step_box(grid, coin, rotated)
         stepped += _trim(m0 - 1, n0 if rotated else n0 - 1, out, rotated)
     return stepped
 
@@ -409,17 +407,15 @@ def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
     """Step matrices Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C over ks x ls.
 
     Returns shape (len(ks), len(ls), 4, 4).  Every momentum-picture
-    computation in the package builds its step matrices here, so there is
-    one sign convention: the R component picks up e^{ik}.
+    computation builds its step matrices here: one sign convention, in
+    which the R component picks up e^{ik}, read off ``_MOVES``.
     """
-    x = np.exp(1j * np.asarray(ks, dtype=float))
-    y = np.exp(1j * np.asarray(ls, dtype=float))
-    diag = np.empty((x.size, y.size, 4), dtype=complex)
-    diag[:, :, 0] = x[:, None]
-    diag[:, :, 1] = x.conj()[:, None]
-    diag[:, :, 2] = y[None, :]
-    diag[:, :, 3] = y.conj()[None, :]
-    return diag[..., :, None] * coin.matrix
+    dm, dn = np.array(_MOVES[False]).T - 1
+    # + 0.0, 1j * d and np.where (not a product with e^{0i}) keep the -0j
+    # that the conjugate of e^{ik} has at k = 0, so the bits are exact
+    x = np.exp(np.multiply.outer(np.asarray(ks, dtype=float) + 0.0, 1j * dm))
+    y = np.exp(np.multiply.outer(np.asarray(ls, dtype=float) + 0.0, 1j * dn))
+    return np.where(dm != 0, x[:, None], y[None, :])[..., :, None] * coin.matrix
 
 
 def evolve_momentum(

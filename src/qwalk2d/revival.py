@@ -8,8 +8,8 @@ states in closed form, searches for finite-support eigenstates of
 arbitrary coins by solving a box-restricted eigenproblem, and reads two
 observables off one walk: the fidelity to the initial state, whose first
 return to 1 is the revival period, and the return probability.  The
-search builds its eigen-equation with the walk's own shift, one column per
-cell of a (4, s, s) box in the walk's component-major layout, and reads
+search builds its eigen-equation with the walk's own step, coin and shift
+(``dynamics._step_box``), one column per cell of a (4, s, s) box, and reads
 each null vector back as such a box, as the walk does.  It searches the
 box [0, s)^2; :meth:`PositionState.translate` moves what it finds.
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoinOperator, _amplitudes, _grid_sites, _norm, _shift_into, _trajectory
+from .dynamics import CoinOperator, _amplitudes, _grid_sites, _norm, _step_box, _trajectory
 from .spectral import _check_tolerance
 from .states import PositionState, _check_norm, _integer, _require_normalized
 
@@ -128,19 +128,14 @@ def find_local_stationary_states(
     if s < 1:
         raise ValueError("box_size must be at least 1")
 
-    # column b is the basis state at box site (i, j), component c, in the
-    # walk's (c, i, j) order; its step lands in the box padded by one site
-    b = np.arange(4 * s * s)
-    c, i, j = np.unravel_index(b, (4, s, s))
-    coined = np.zeros((b.size, 4, s, s), dtype=complex)
-    coined[b, :, i, j] = coin.matrix.T[c]
-    image = np.zeros((b.size, 4, s + 2, s + 2), dtype=complex)
-    _shift_into(image, coined)
-    del coined  # free it before the SVD, the memory peak
-    image[b, c, i + 1, j + 1] -= eigenvalue
+    # column b: the step of basis state b of the box, minus eigenvalue times it
+    basis = np.eye(4 * s * s, dtype=complex).reshape(-1, 4, s, s)
+    image = _step_box(basis, coin)
+    image[..., 1:-1, 1:-1] -= eigenvalue * basis
+    del basis  # free it before the SVD, the memory peak
 
     # image[b] is column b of the eigen-equation, so its transpose is a view
-    _, singular, vh = np.linalg.svd(image.reshape(b.size, -1).T, full_matrices=False)
+    _, singular, vh = np.linalg.svd(image.reshape(len(image), -1).T, full_matrices=False)
     null_rows = vh[singular <= NULL_SPACE_RTOL * singular[0]]
     states = tuple(
         PositionState._from_sites(*_grid_sites(0, 0, box))

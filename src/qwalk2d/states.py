@@ -17,6 +17,7 @@ digits so that load(save(state)) is exact.
 
 import operator
 from enum import IntEnum
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -106,6 +107,10 @@ class PositionState:
         points = np.array([*amplitudes] or np.empty((0, 2), dtype=np.int64))
         if points.ndim != 2 or points.shape[1] != 2 or points.dtype.kind not in "iu":
             raise ValueError("lattice points must be (m, n) integer pairs")
+        # np.array turns (True, 0) into int64 (1, 0), which passes the dtype check
+        bools = map(isinstance, chain.from_iterable(amplitudes), repeat((bool, np.bool_)))
+        for coordinate in compress(chain.from_iterable(amplitudes), bools):
+            raise ValueError(f"a lattice coordinate must be an integer, got {coordinate}")
         amps = np.array([*amplitudes.values()] or np.empty((0, 4)), dtype=complex)
         if amps.shape != (len(points), 4):
             raise ValueError("each amplitude entry must have exactly 4 components")

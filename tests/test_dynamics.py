@@ -23,6 +23,7 @@ from qwalk2d import (
     step,
     superpose,
 )
+from qwalk2d import dynamics
 from qwalk2d.revival import (
     detect_period,
     grover_stationary_states,
@@ -123,6 +124,12 @@ def test_identity_coin_walk_separates_into_ballistic_streams():
 def test_random_coin_is_unitary(rng):
     c = random_coin(rng).matrix
     np.testing.assert_allclose(c.conj().T @ c, np.eye(4), atol=1e-13)
+
+
+def test_random_coin_takes_a_seed_or_a_generator():
+    # the seed 0 used to count as no seed, and any other int seed raised
+    assert np.array_equal(random_coin(0).matrix, random_coin(0).matrix)
+    assert np.array_equal(random_coin(3).matrix, random_coin(np.random.default_rng(3)).matrix)
 
 
 # ------------------------------------------------- coin flip and shift
@@ -411,6 +418,21 @@ def test_sites_strung_along_a_line_walk_in_a_thin_box(direction):
     walked, peak = _peak_bytes(evolve, line, coin, 5)
     assert abs(walked.norm() - 1.0) < 1e-12
     assert peak < 4 * 2**20
+
+
+def test_banded_coin_multiply_rounds_like_one_product(monkeypatch):
+    # bands of 8 rows: a rotated 31-wide box after 30 steps from one site
+    # walks in 4 bands, and a 300-site line along m in an (m, n) box of 300+
+    # rows walks in many, the last one short
+    coin = random_coin(np.random.default_rng(11))
+    origin = PositionState({(0, 0): (0.5, 0.5j, -0.5, 0.5)})
+    amps = np.random.default_rng(12).normal(size=(300, 4)) + 0j
+    line = PositionState({(m, 0): amps[m] / np.linalg.norm(amps) for m in range(300)})
+    cases = [(origin, 30), (line, 4)]
+    default = [(evolve(s, coin, t), return_probability_series(s, coin, t)) for s, t in cases]
+    monkeypatch.setattr(dynamics, "_BAND_SITES", 8)
+    banded = [(evolve(s, coin, t), return_probability_series(s, coin, t)) for s, t in cases]
+    assert banded == default
 
 
 def test_walks_stop_at_the_coordinate_limit():

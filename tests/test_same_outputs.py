@@ -4,7 +4,9 @@ import importlib.util
 import shutil
 from pathlib import Path
 
-from qwalk2d import load_state
+import numpy as np
+
+from qwalk2d import CoinOperator, find_local_stationary_states, load_coin, load_state
 from qwalk2d.dynamics import _to_windows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +51,15 @@ def test_the_init_state_file_is_normalized_and_walks_in_two_frames(tmp_path):
     # the line in one (m, n) box, the cluster in one rotated box per parity class
     assert sorted(window.rotated for window in windows) == [False, True, True]
     assert sum("{init}" in command for command in same_outputs.COMMANDS) == 2
+
+
+def test_the_conjugated_coin_file_is_unitary_and_not_its_own_transpose(tmp_path):
+    path = tmp_path / "conj.coin"
+    same_outputs.write_conj_coin(path, seed=3)
+    coin = load_coin(path)  # raises unless the matrix is unitary
+    assert np.abs(coin.matrix - coin.matrix.T).max() > 0.5
+    # a search that applied the coin by rows would find other states
+    found = find_local_stationary_states(coin, 1, 8)
+    assert len(found) == 49
+    assert find_local_stationary_states(CoinOperator(coin.matrix.T), 1, 8).states != found.states
+    assert sum("{conj}" in command for command in same_outputs.COMMANDS) == 3

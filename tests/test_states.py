@@ -344,7 +344,10 @@ def test_basis_state_components_are_names_or_integer_indices():
     lambda: find_local_stationary_states(builtin_coin("grover"), 1, True),
     lambda: detect_period(revival_state(), builtin_coin("grover"), True),
     lambda: char_poly_profile(builtin_coin("grover"), True),
-], ids=["steps", "momentum steps", "offset", "point", "box_size", "t_max", "grid_size"])
+    lambda: PositionState({(True, 0): (1, 0, 0, 0)}),
+    lambda: PositionState({(0, 0): (1, 0, 0, 0), (3, np.True_): (0, 1, 0, 0)}),
+], ids=["steps", "momentum steps", "offset", "point", "box_size", "t_max", "grid_size",
+        "key", "numpy key"])
 def test_bools_are_not_integers(call):
     with pytest.raises(ValueError, match="must be an integer, got (True|False)"):
         call()

@@ -32,6 +32,7 @@ from bench_pair import export  # noqa: E402
 INIT_STEPS = 12
 
 # ``{out}`` is the run directory; ``{haar}`` a coin file of a seeded Haar coin;
+# ``{conj}`` one of a phase-conjugated Grover coin (see ``write_conj_coin``);
 # ``{init}`` a state file of a seeded state (see ``write_init_state``)
 COMMANDS = [
     "simulate --coin grover --init origin_symmetric --steps 60 --out {out}",
@@ -43,6 +44,9 @@ COMMANDS = [
     "spectrum --coin hadamard4 --grid 64 --out {out}",
     "stationary --coin grover --box 4 --out {out}",
     "stationary --coin swap --lambda -1,0 --box 3 --out {out}",
+    "spectrum --coin {conj} --grid 256 --out {out}",
+    "stationary --coin {conj} --box 8 --out {out}",
+    "stationary --coin {conj} --lambda -1,0 --box 8 --out {out}",
     "revival --coin grover --init revival --tmax 10 --out {out}",
     "revival --coin grover --init origin_symmetric --tmax 150 --out {out}",
     f"simulate --coin {{haar}} --init {{init}} --steps {INIT_STEPS} --out {{out}}",
@@ -58,15 +62,32 @@ COMMANDS = [
 ENTRY = "import sys; from qwalk2d.cli import main; sys.exit(main())"
 
 
+def _write_coin(path: Path, matrix: np.ndarray) -> None:
+    """``matrix`` as a coin file, each entry written exactly."""
+    path.write_text("".join(
+        " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n" for row in matrix
+    ), encoding="utf-8")
+
+
 def write_haar_coin(path: Path, seed: int) -> None:
     """A seeded Haar-random coin (QR of a complex Ginibre matrix) as a coin file."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
-    q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
-    path.write_text("".join(
-        " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n" for row in q
-    ), encoding="utf-8")
+    _write_coin(path, q * np.exp(-1j * np.angle(np.diag(r)))[None, :])
+
+
+def write_conj_coin(path: Path, seed: int) -> None:
+    """diag(p) G diag(p)* for the Grover coin G and seeded random phases p, as a coin file.
+
+    It keeps Grover's constant eigenvalues +-1 and its stationary states up
+    to local phases, but unlike Grover and swap it differs from its
+    transpose, so a search or a walk that applies the coin by rows instead
+    of columns gives other outputs.
+    """
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, 4))
+    grover = 0.5 * np.ones((4, 4)) - np.eye(4)
+    _write_coin(path, phases[:, None] * grover * phases.conj()[None, :])
 
 
 def write_init_state(path: Path, seed: int) -> None:
@@ -132,12 +153,13 @@ def main(argv=None) -> int:
         base, head = Path(trees) / "base", Path(trees) / "head"
         export(args.base, base)
         export("HEAD", head)
-        haar = Path(trees) / "haar.coin"
-        write_haar_coin(haar, seed=3)
-        init = Path(trees) / "init.csv"
-        write_init_state(init, seed=3)
-        return compare(base, head, [c.replace("{haar}", str(haar)).replace("{init}", str(init))
-                                    for c in COMMANDS])
+        files = {"haar": Path(trees) / "haar.coin", "conj": Path(trees) / "conj.coin",
+                 "init": Path(trees) / "init.csv"}
+        write_haar_coin(files["haar"], seed=3)
+        write_conj_coin(files["conj"], seed=3)
+        write_init_state(files["init"], seed=3)
+        # {out} stays in place for ``_run``
+        return compare(base, head, [c.format(out="{out}", **files) for c in COMMANDS])
 
 
 if __name__ == "__main__":
