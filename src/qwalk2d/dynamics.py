@@ -411,8 +411,8 @@ def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
     which the R component picks up e^{ik}, read off ``_MOVES``.
     """
     dm, dn = np.array(_MOVES[False]).T - 1
-    # + 0.0, 1j * d and np.where (not a product with e^{0i}) keep the -0j
-    # that the conjugate of e^{ik} has at k = 0, so the bits are exact
+    # k + 0.0, 1j * d and np.where give e^{-ik} at k = 0 as 1 - 0j, the conjugate
+    # of e^{ik}; a product with e^{0i} = 1 + 0j would give 1 + 0j
     x = np.exp(np.multiply.outer(np.asarray(ks, dtype=float) + 0.0, 1j * dm))
     y = np.exp(np.multiply.outer(np.asarray(ls, dtype=float) + 0.0, 1j * dn))
     return np.where(dm != 0, x[:, None], y[None, :])[..., :, None] * coin.matrix

@@ -13,6 +13,7 @@ from qwalk2d import (
     CoinOperator,
     PositionState,
     builtin_coin,
+    dynamics,
     evolve,
     evolve_momentum,
     fidelity,
@@ -23,7 +24,6 @@ from qwalk2d import (
     step,
     superpose,
 )
-from qwalk2d import dynamics
 from qwalk2d.revival import (
     detect_period,
     grover_stationary_states,
