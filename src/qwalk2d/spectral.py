@@ -16,7 +16,7 @@ U and D in their place at y and 1/y; lambda^2 (C_ii C_jj - C_ij C_ji),
 i in {R, L}, j in {U, D}, at x^a y^b.  A constant eigenvalue makes all
 nine vanish, through mu = lambda^2 only: constants come in +- pairs, at
 most two.  This module finds them with no eigensolve and profiles the
-coefficients e1..e4 of p over momentum grids.
+coefficients e1 and e2 of p over momentum grids.
 """
 
 import numbers
@@ -75,11 +75,10 @@ class ConstantEigenvalue:
 class CharPolyProfile:
     """Characteristic-polynomial coefficients sampled over a momentum grid.
 
-    ``e1`` .. ``e4`` are the elementary symmetric functions of the four
-    eigenvalues per grid cell (trace, lambda^2 coefficient, lambda
-    coefficient, determinant).  Only ``e1``, ``e2`` and the coin
-    determinant are stored: ``e3 = det C * conj(e1)`` and ``e4``, the coin
-    determinant at every cell, are derived on access.  ``c_zero`` reports
+    ``e1`` and ``e2`` are the trace and the lambda^2 coefficient per grid
+    cell.  The other two coefficients follow from unitarity: with
+    det U = det C they are ``det C * conj(e1)`` and ``det C``, so only
+    ``e1``, ``e2`` and the coin determinant are held.  ``c_zero`` reports
     whether the lambda^2 coefficient is momentum-independent, the
     condition under which constant eigenvalues can exist at all.
     """
@@ -88,21 +87,6 @@ class CharPolyProfile:
     e1: np.ndarray
     e2: np.ndarray
     det_coin: complex
-
-    @property
-    def e3(self) -> np.ndarray:
-        return self.det_coin * self.e1.conj()
-
-    @property
-    def e4(self) -> np.ndarray:
-        return np.full(self.e1.shape, self.det_coin)
-
-    @property
-    def variances(self) -> dict[str, float]:
-        return {
-            name: _complex_variance(getattr(self, name))
-            for name in ("e1", "e2", "e3", "e4")
-        }
 
     @property
     def e2_variance(self) -> float:
@@ -117,7 +101,6 @@ class CharPolyProfile:
             "grid_size": self.grid_size,
             "c_zero": self.c_zero,
             "e2_variance": self.e2_variance,
-            "coefficient_variances": self.variances,
             "det_coin": {"re": self.det_coin.real, "im": self.det_coin.imag},
         }
 

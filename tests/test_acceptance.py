@@ -117,7 +117,7 @@ def test_criterion_05_charpoly_structure():
     hadamard_profile = char_poly_profile(builtin_coin("hadamard4"), 32)
     ok = (
         grover_profile.e2_variance <= 1e-10
-        and np.abs(grover_profile.e4 + 1.0).max() <= 1e-12
+        and abs(grover_profile.det_coin + 1.0) <= 1e-12
         and hadamard_profile.e2_variance > 1e-4
     )
     report(5, "lambda^2 coefficient constant for grover, fluctuating for hadamard4",

@@ -27,17 +27,19 @@ def _stdout(op, work, failed=0):
 
 
 def _pairs():
-    canned = [  # seed, first, parent (op, work), change (op, work, failed)
-        (3, "parent", (0.08, 100.0), (0.03, 300.0, 0)),
-        (3, "change", (0.09, 110.0), (0.04, 110.0, 0)),
-        (3, "parent", (0.07, 90.0), (0.07, 80.0, 1)),
-        (29, "change", (0.1000004, 100.0), (0.02, 400.0, 0)),
+    # seed, first, parent's directory, parent (op, work), change (op, work, failed)
+    canned = [
+        (3, "parent", "a", (0.08, 100.0), (0.03, 300.0, 0)),
+        (3, "change", "a", (0.09, 110.0), (0.04, 110.0, 0)),
+        (3, "parent", "b", (0.07, 90.0), (0.07, 80.0, 1)),
+        (29, "change", "b", (0.1000004, 100.0), (0.02, 400.0, 0)),
     ]
     return [
         {"seed": seed, "first": first,
+         "dirs": {"parent": where, "change": "b" if where == "a" else "a"},
          "parent": bench_pair.parse_result(_stdout(*parent)),
          "change": bench_pair.parse_result(_stdout(*change))}
-        for seed, first, parent, change in canned
+        for seed, first, where, parent, change in canned
     ]
 
 
@@ -51,6 +53,7 @@ def test_assemble_summarises_each_side_and_the_pairs_won():
     entry = bench_pair.assemble(_pairs(), METRICS)
     assert entry["seeds"] == [3, 3, 3, 29]
     assert entry["first"] == ["parent", "change", "parent", "change"]
+    assert entry["dirs"] == {"parent": ["a", "a", "b", "b"], "change": ["b", "b", "a", "a"]}
     assert entry["failed"] == {"parent": [0, 0, 0, 0], "change": [0, 0, 1, 0]}
     assert entry["attempted"]["change"] == [10] * 4
     op = entry["metrics"]["op_p50_s"]
@@ -69,11 +72,23 @@ def test_assemble_summarises_each_side_and_the_pairs_won():
     assert entry["by_seed"]["3"]["op_p50_s"]["change_better_in_pairs"] == "2/3"
 
 
+def test_pairs_1_to_4_run_each_side_first_from_each_directory():
+    schedule = [bench_pair.schedule(i) for i in range(1, 9)]
+    assert schedule[:4] == [
+        (("parent", "change"), {"parent": "a", "change": "b"}),
+        (("change", "parent"), {"parent": "a", "change": "b"}),
+        (("parent", "change"), {"parent": "b", "change": "a"}),
+        (("change", "parent"), {"parent": "b", "change": "a"}),
+    ]
+    assert schedule[4:] == schedule[:4]
+
+
 def test_an_entry_gives_back_its_pairs():
     # runs are kept to 6 decimals, and the summaries are taken over those
     pairs = _pairs()
     entry = bench_pair.assemble(pairs, METRICS)
     assert bench_pair.assemble(bench_pair.pairs_of(entry), METRICS) == entry
+    assert [p["dirs"] for p in bench_pair.pairs_of(entry)] == [p["dirs"] for p in pairs]
     # a further seed appends to the same entry
     more = bench_pair.assemble(bench_pair.pairs_of(entry) + pairs[:1], METRICS)
     assert more["seeds"] == [3, 3, 3, 29, 3]

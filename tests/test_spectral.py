@@ -345,7 +345,6 @@ def test_grover_charpoly_has_constant_coefficients():
     assert profile.c_zero
     assert profile.e2_variance <= 1e-10
     assert profile.det_coin == pytest.approx(-1.0, abs=1e-13)
-    assert np.abs(profile.e4 - profile.det_coin).max() <= 1e-12
 
 
 def test_hadamard4_charpoly_coefficient_fluctuates():
@@ -355,10 +354,12 @@ def test_hadamard4_charpoly_coefficient_fluctuates():
 
 
 def test_determinant_is_constant_over_grid_for_any_coin(rng):
+    momenta = 2 * np.pi * np.arange(32) / 32
     for _ in range(5):
         coin = random_coin(rng)
         profile = char_poly_profile(coin, 32)
-        assert np.abs(profile.e4 - profile.det_coin).max() <= 1e-12
+        dets = np.linalg.det(spectral._momentum_symbol(coin, momenta, momenta))
+        assert np.abs(dets - profile.det_coin).max() <= 1e-12
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -371,7 +372,8 @@ def test_closed_form_charpoly_matches_eigenvalues(seed, grid_size, data):
     momentum = (2 * np.pi * i / grid_size, 2 * np.pi * j / grid_size)
     # np.poly gives (1, -e1, e2, -e3, e4) from the four eigenvalues
     expected = np.poly(np.linalg.eigvals(momentum_propagator(coin, momentum)))[1:]
-    closed = [-profile.e1[i, j], profile.e2[i, j], -profile.e3[i, j], profile.e4[i, j]]
+    e1, det_coin = profile.e1[i, j], profile.det_coin
+    closed = [-e1, profile.e2[i, j], -det_coin * np.conj(e1), det_coin]
     np.testing.assert_allclose(closed, expected, rtol=0, atol=1e-12)
 
 
@@ -403,6 +405,10 @@ def test_charpoly_json_fields():
 
 def test_spectrum_report_json_fields():
     payload = detect_constant_eigenvalues(builtin_coin("grover"), 16, 1e-8).to_json_dict()
+    assert payload.keys() == {
+        "c_zero", "constants", "det_coin", "e2_variance",
+        "four_constant", "grid_size", "pairing_ok", "tolerance",
+    }
     assert payload["grid_size"] == 16
     assert payload["tolerance"] == 1e-8
     assert payload["c_zero"] is True

@@ -6,22 +6,26 @@ Run from the repository root:
     python3 tools/bench_pair.py --base <commit> --workload revival --seed 3 \\
         --pairs 10 --out BENCH_<n>.json
 
-The base commit and HEAD are each exported with ``git archive`` into their
-own temporary directory, so each side runs ``perfbench/run.py --trace 0``
-from its committed files only, one process at a time, for the run length
-that BENCHMARK.json sets.  Pair i (counted from 1) runs the base first when
-i is odd and HEAD first when i is even.  Units, directions and bounds of
-the metrics are read from BENCHMARK.json too.  If ``--out`` exists and
-records the same two commits, the new pairs are added to its workload
-entry, so a held-out seed extends the same record; the summaries are
-computed again over all pairs.  Medians and quartiles are numpy
-percentiles (linear); a pair counts as won when HEAD's value is strictly
-better, so ties count for neither side.
+The base commit and HEAD are each exported once with ``git archive``, into
+the temporary directories ``a`` and ``b``, so each side runs
+``perfbench/run.py --trace 0`` from its committed files only, one process at
+a time, for the run length that BENCHMARK.json sets.  Pair i (counted from 1)
+runs the base first when i is odd and HEAD first when i is even.  The two
+directories swap names every second pair, so pairs 1-4 run each side first
+from each directory once, and a cost that follows the directory (the spread
+workload's peak RSS moved by about 2.6% with it) cancels in the median.
+Units, directions and bounds of the metrics are read from BENCHMARK.json
+too.  If ``--out`` exists and records the same two commits, the new pairs
+are added to its workload entry, so a held-out seed extends the same
+record; the summaries are computed again over all pairs.  Medians and
+quartiles are numpy percentiles (linear); a pair counts as won when HEAD's
+value is strictly better, so ties count for neither side.
 """
 
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -32,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+DIRS = ("a", "b")
 HOST_KEYS = ("nproc", "python", "numpy", "blas", "blas_threads", "cache_sizes")
 
 
@@ -85,13 +90,14 @@ def _seed_summary(pairs, metrics):
 def assemble(pairs: list[dict], metrics: dict) -> dict:
     """A workload entry of a BENCH_*.json record from its pairs.
 
-    ``pairs`` holds dicts with the keys ``seed``, ``first`` and one parsed
-    result per side; ``metrics`` maps each end-to-end metric to its
-    ``unit``, ``better`` and ``bound``.
+    ``pairs`` holds dicts with the keys ``seed``, ``first``, ``dirs`` (each
+    side's export directory) and one parsed result per side; ``metrics``
+    maps each end-to-end metric to its ``unit``, ``better`` and ``bound``.
     """
     return {
         "seeds": [p["seed"] for p in pairs],
         "first": [p["first"] for p in pairs],
+        "dirs": {side: [p["dirs"][side] for p in pairs] for side in SIDES},
         "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
         "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
         "metrics": {name: _compare(pairs, name, spec) for name, spec in metrics.items()},
@@ -105,7 +111,8 @@ def assemble(pairs: list[dict], metrics: dict) -> dict:
 def pairs_of(entry: dict) -> list[dict]:
     """The pairs a workload entry was assembled from, as far as it records them."""
     return [
-        {"seed": seed, "first": first} | {
+        {"seed": seed, "first": first,
+         "dirs": {side: entry["dirs"][side][i] for side in SIDES}} | {
             side: {
                 "attempted": entry["attempted"][side][i],
                 "failed": entry["failed"][side][i],
@@ -116,6 +123,12 @@ def pairs_of(entry: dict) -> list[dict]:
         }
         for i, (seed, first) in enumerate(zip(entry["seeds"], entry["first"]))
     ]
+
+
+def schedule(i: int) -> tuple[tuple[str, str], dict]:
+    """Pair i's (from 1) run order and the export directory of each side."""
+    order = SIDES if i % 2 else SIDES[::-1]
+    return order, dict(zip(SIDES, DIRS if (i - 1) // 2 % 2 == 0 else DIRS[::-1]))
 
 
 def _git(*args) -> str:
@@ -164,15 +177,22 @@ def main(argv=None) -> int:
         sys.exit(f"bench_pair: {args.out} records other commits")
     entry = record.get("workloads", {}).get(args.workload)
     pairs = pairs_of(entry) if entry else []
-    with tempfile.TemporaryDirectory(prefix="bench_pair-") as workdir:
-        checkouts = {side: Path(workdir) / side for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
+        workdir = Path(tmp)
+        placed = dict(zip(SIDES, DIRS))
         for side in SIDES:
-            export(commits[side], checkouts[side])
+            export(commits[side], workdir / placed[side])
         for i in range(1, args.pairs + 1):
-            order = SIDES if i % 2 else SIDES[::-1]
-            pair = {"seed": args.seed, "first": order[0]}
+            order, dirs = schedule(i)
+            if dirs != placed:
+                os.rename(workdir / "a", workdir / "swap")
+                os.rename(workdir / "b", workdir / "a")
+                os.rename(workdir / "swap", workdir / "b")
+                placed = dirs
+            pair = {"seed": args.seed, "first": order[0], "dirs": dirs}
             for side in order:
-                pair[side], run_record = _run(checkouts[side], args, spec["run_seconds"])
+                pair[side], run_record = _run(workdir / dirs[side], args,
+                                              spec["run_seconds"])
                 record.setdefault(side, {"commit": commits[side],
                                          "src_sha256": run_record["src_sha256"]})
             print(f"pair {i}: " + " ".join(
@@ -185,12 +205,14 @@ def main(argv=None) -> int:
     record["command"] = ("python3 perfbench/run.py --workload <name> --seed <seed> "
                          f"--seconds {spec['run_seconds']} --trace 0")
     record["method"] = (
-        "Written by tools/bench_pair.py. Each commit was exported with git archive into its "
-        "own directory and ran one process at a time. Pair i (from 1) ran the parent first "
-        "when i is odd and the change first when i is even ('first' lists the side that ran "
-        "first). Values are the host-normalised metrics that perfbench/run.py prints; median "
-        "and quartiles are over the pairs (numpy percentile, linear), and by_seed repeats "
-        "them for each seed. A pair is won when the change is strictly better.")
+        "Written by tools/bench_pair.py. Each commit was exported once with git archive, "
+        "into directories a and b, and ran one process at a time. Pair i (from 1) ran the "
+        "parent first when i is odd and the change first when i is even ('first' lists the "
+        "side that ran first). The two directories swapped names every second pair, so "
+        "pairs 1-4 ran each side first from each directory once ('dirs' lists each side's "
+        "directory per pair). Values are the host-normalised metrics that perfbench/run.py "
+        "prints; median and quartiles are over the pairs (numpy percentile, linear), and "
+        "by_seed repeats them for each seed. A pair is won when the change is strictly better.")
     record.setdefault("workloads", {})[args.workload] = assemble(pairs, metrics)
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
