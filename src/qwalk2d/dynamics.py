@@ -41,7 +41,9 @@ Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  That symbol, in that one sign
 convention, is built only by ``_momentum_symbol``, its phases read off
 ``_MOVES``.  :func:`evolve_momentum` powers it via FFTs and reproduces the
 direct path exactly; it raises unless ``span + 2*steps <= lattice_size``,
-so the wavefront cannot wrap around the box.
+so the wavefront cannot wrap around the box.  It computes on the smallest
+even box per axis that holds the wavefront and has no prime factor above
+7, capped at ``lattice_size``: any such box is the same walk.
 """
 
 import math
@@ -418,6 +420,15 @@ def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
     return np.where(dm != 0, x[:, None], y[None, :])[..., :, None] * coin.matrix
 
 
+def _fft_size(n: int) -> int:
+    """The smallest even integer >= n with no prime factor above 7."""
+    size = n + n % 2
+    # exactly such a size divides 210^e = (2*3*5*7)^e once 2^e > size
+    while pow(210, size.bit_length(), size):
+        size += 2
+    return size
+
+
 def evolve_momentum(
     state: PositionState, coin: CoinOperator, steps: int, lattice_size: int
 ) -> PositionState:
@@ -429,7 +440,11 @@ def evolve_momentum(
     result matches :func:`evolve` to rounding provided the wavefront never
     wraps around the box, which holds exactly when ``span + 2*steps <=
     lattice_size`` for a support spanning ``span`` sites along its wider
-    axis.  Resulting amplitudes below 1e-14 are dropped.
+    axis.  The walk on every even box at least that wide is then the same,
+    so the computation runs, per axis, on the smallest even box holding the
+    support's extent along it plus ``2*steps`` whose prime factors are at
+    most 7 (fast FFT lengths), capped at ``lattice_size``.  Resulting
+    amplitudes below 1e-14 are dropped.
 
     Raises ValueError for a step count that is negative or not an integer,
     a box size that is odd, nonpositive or not an integer, a box too small
@@ -449,15 +464,16 @@ def evolve_momentum(
             f"state support spans {span} sites and {steps} steps widen it by "
             f"{2 * steps}, exceeding the {size}-site periodic box"
         )
-    m0, n0 = ((int(c.min()) + int(c.max()) + 1) // 2 - size // 2 for c in (m, n))
+    shape = [min(size, _fft_size(int(np.ptp(c)) + 1 + 2 * steps)) for c in (m, n)]
+    m0, n0 = ((int(c.min()) + int(c.max()) + 1) // 2 - s // 2 for c, s in zip((m, n), shape))
 
-    grid = np.zeros((4, size, size), dtype=complex)
+    grid = np.zeros((4, *shape), dtype=complex)
     grid[:, m - m0, n - n0] = amps.T
 
     momentum = np.fft.fft2(grid, axes=(1, 2))
     # fft2 attaches e^{-2*pi*i*j*m/N} to site m: that is e^{ikm} at k = -2*pi*j/N
-    ks = -2 * np.pi * np.arange(size) / size
-    powered = np.linalg.matrix_power(_momentum_symbol(coin, ks, ks), steps)
+    ks, ls = (-2 * np.pi * np.arange(s) / s for s in shape)
+    powered = np.linalg.matrix_power(_momentum_symbol(coin, ks, ls), steps)
     vectors = powered @ np.moveaxis(momentum, 0, -1)[..., None]
     grid = np.fft.ifft2(np.moveaxis(vectors[..., 0], -1, 0), axes=(1, 2))
 

@@ -53,7 +53,10 @@ def _check_tolerance(tolerance: float) -> float:
 
 def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
     """The 4x4 step matrix at one momentum pair (k, l)."""
-    k, l = momentum
+    values = np.asarray(momentum)
+    if values.shape != (2,) or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise ValueError("momentum must be two finite reals")
+    k, l = values
     return _momentum_symbol(coin, [k], [l])[0, 0]
 
 

@@ -23,7 +23,9 @@ def _stdout(op, work, failed=0):
         "op_p50_s": {"value": op, "unit": "s"},
         "work_per_s": {"value": work, "unit": "1/s"},
     }}
-    return f"workload=revival seed=3\nop_p50_s = {op} s\n{json.dumps(result)}\n"
+    problems = "".join(f"FAILED check {k}: max |diff| 1e-3\n" for k in range(failed))
+    return (f"workload=revival seed=3\n{problems}failed_ratio = {failed / 10} "
+            f"(failed={failed} attempted=10)\nop_p50_s = {op} s\n{json.dumps(result)}\n")
 
 
 def _pairs():
@@ -44,7 +46,10 @@ def _pairs():
 
 
 def test_parse_result_reads_the_last_line():
-    assert bench_pair.parse_result(_stdout(0.5, 2.0, 1))["failed"] == 1
+    result = bench_pair.parse_result(_stdout(0.5, 2.0, 2))
+    assert result["failed"] == 2
+    assert result["problems"] == ["check 0: max |diff| 1e-3", "check 1: max |diff| 1e-3"]
+    assert bench_pair.parse_result(_stdout(0.5, 2.0))["problems"] == []
     with pytest.raises(ValueError):
         bench_pair.parse_result("\n")
 
@@ -55,6 +60,8 @@ def test_assemble_summarises_each_side_and_the_pairs_won():
     assert entry["first"] == ["parent", "change", "parent", "change"]
     assert entry["dirs"] == {"parent": ["a", "a", "b", "b"], "change": ["b", "b", "a", "a"]}
     assert entry["failed"] == {"parent": [0, 0, 0, 0], "change": [0, 0, 1, 0]}
+    assert entry["problems"] == {"parent": [[], [], [], []],
+                                 "change": [[], [], ["check 0: max |diff| 1e-3"], []]}
     assert entry["attempted"]["change"] == [10] * 4
     op = entry["metrics"]["op_p50_s"]
     assert op["bound"] == 0.25 and op["unit"] == "s"
@@ -89,7 +96,31 @@ def test_an_entry_gives_back_its_pairs():
     entry = bench_pair.assemble(pairs, METRICS)
     assert bench_pair.assemble(bench_pair.pairs_of(entry), METRICS) == entry
     assert [p["dirs"] for p in bench_pair.pairs_of(entry)] == [p["dirs"] for p in pairs]
+    assert bench_pair.assemble(bench_pair.pairs_of(entry), METRICS)["problems"] == \
+        entry["problems"]
     # a further seed appends to the same entry
     more = bench_pair.assemble(bench_pair.pairs_of(entry) + pairs[:1], METRICS)
     assert more["seeds"] == [3, 3, 3, 29, 3]
     assert more["metrics"]["op_p50_s"]["change_better_in_pairs"] == "4/5"
+
+
+def test_a_failed_check_is_printed_kept_and_fails_the_run(monkeypatch, tmp_path, capsys):
+    # pair 2's change run fails one check; the runs themselves are canned
+    outputs = iter([_stdout(0.08, 100.0), _stdout(0.03, 300.0),
+                    _stdout(0.04, 110.0, 1), _stdout(0.09, 110.0)])
+    host = {key: 1 for key in bench_pair.HOST_KEYS} | {"src_sha256": "0" * 64}
+    spec = {"run_seconds": 1, "end_to_end": [{"name": k} | v for k, v in METRICS.items()]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: "abc")
+    monkeypatch.setattr(bench_pair, "export", lambda commit, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pair, "_run", lambda checkout, args, seconds:
+                        (bench_pair.parse_result(next(outputs)), host))
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD~1", "--workload", "revival", "--seed", "3", "--pairs", "2",
+            "--out", str(out)]
+    assert bench_pair.main(argv) == 1
+    assert "pair 2: change FAILED check 0: max |diff| 1e-3" in capsys.readouterr().out
+    entry = json.loads(out.read_text())["workloads"]["revival"]
+    assert entry["failed"] == {"parent": [0, 0], "change": [0, 1]}
+    assert entry["problems"]["change"] == [[], ["check 0: max |diff| 1e-3"]]

@@ -478,6 +478,40 @@ def test_support_stays_on_parity_diamond():
             assert (m + n - t) % 2 == 0
 
 
+def _dense_walk(matrix, amps, steps):
+    """The walk from one site at the center of a plain (4, 2t+1, 2t+1) grid."""
+    grid = np.zeros((4, 2 * steps + 1, 2 * steps + 1), dtype=complex)
+    grid[:, steps, steps] = amps
+    for t in range(steps):
+        # after t steps the walk lies within t sites of the center
+        box = grid[:, steps - t - 1 : steps + t + 2, steps - t - 1 : steps + t + 2]
+        flipped = (matrix @ box.reshape(4, -1)).reshape(box.shape)
+        box[...] = 0
+        box[0, 1:, :] = flipped[0, :-1, :]  # R: m + 1
+        box[1, :-1, :] = flipped[1, 1:, :]  # L: m - 1
+        box[2, :, 1:] = flipped[2, :, :-1]  # U: n + 1
+        box[3, :, :-1] = flipped[3, :, 1:]  # D: n - 1
+    return grid
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_long_walk_keeps_every_light_cone_site(seed):
+    # after 200 steps the largest component at some light-cone sites is
+    # below 1e-170 for each of these coins: a site lost or flushed to zero
+    # changes the occupied points, which the 1e-12 comparison would not see
+    coin = random_coin(np.random.default_rng(seed))
+    amps = np.full(4, 0.5, dtype=complex)
+    out = evolve(PositionState({(0, 0): amps}), coin, 200)
+    assert out.n_sites == 201**2
+    m, n = np.array(out.points).T
+    cone = [(a, b) for a in range(-200, 201) for b in range(-200, 201)
+            if abs(a) + abs(b) <= 200 and (a + b) % 2 == 0]
+    assert out.points == cone
+    grid = np.zeros((4, 401, 401), dtype=complex)
+    grid[:, m + 200, n + 200] = np.array([vec for _, vec in out.items()]).T
+    assert np.abs(grid - _dense_walk(coin.matrix, amps, 200)).max() < 1e-12
+
+
 # ------------------------------------------------------- momentum picture
 
 
@@ -567,6 +601,52 @@ def test_momentum_matches_direct_in_the_smallest_box(seed, points, steps):
     assert amp_diff(evolve(state, coin, steps), evolve_momentum(state, coin, steps, size)) < 1e-12
     with pytest.raises(ValueError, match="exceed"):
         evolve_momentum(state, coin, steps + 1, size)
+
+
+def _fft_shapes(monkeypatch):
+    """The shapes every later np.fft.fft2 call receives, in call order."""
+    shapes = []
+    fft2 = np.fft.fft2
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", recording)
+    return shapes
+
+
+def test_momentum_transforms_the_smallest_fast_box_per_axis(monkeypatch, rng):
+    coin = random_coin(rng)
+    shapes = _fft_shapes(monkeypatch)
+    origin = make_basis_state((0, 0), CoinComponent.R)
+    # 1 + 16 sites, rounded up to an even size: 18 = 2 * 3^2
+    assert amp_diff(evolve(origin, coin, 8), evolve_momentum(origin, coin, 8, 256)) < 1e-12
+    # 60 + 60 sites along m, 1 + 60 along n: 120 = 2^3 * 3 * 5, and 62 = 2 * 31 becomes 64
+    line = PositionState({(m, 0): rng.normal(size=4) + 0j for m in range(60)})
+    assert amp_diff(evolve(line, coin, 30), evolve_momentum(line, coin, 30, 128)) < 1e-12
+    assert shapes == [(4, 18, 18), (4, 120, 64)]
+
+
+def test_fft_size_is_the_smallest_even_7_smooth_size():
+    def smooth(k):
+        for p in (2, 3, 5, 7):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    sizes = [k for k in range(2, 1100, 2) if smooth(k)]
+    for n in range(1, 1001):
+        assert dynamics._fft_size(n) == min(k for k in sizes if k >= n)
+
+
+def test_momentum_box_is_capped_at_the_lattice_size(monkeypatch, rng):
+    # 201 sites would round up to 210 = 2 * 3 * 5 * 7, past the 202-site box
+    coin = random_coin(rng)
+    shapes = _fft_shapes(monkeypatch)
+    origin = make_basis_state((0, 0), CoinComponent.U)
+    assert amp_diff(evolve(origin, coin, 100), evolve_momentum(origin, coin, 100, 202)) < 1e-12
+    assert shapes == [(4, 202, 202)]
 
 
 def test_nan_coin_is_rejected(tmp_path):

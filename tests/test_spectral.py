@@ -108,6 +108,12 @@ def test_propagator_determinant_equals_coin_determinant(rng):
         ) < 1e-12
 
 
+@pytest.mark.parametrize("momentum", [(np.nan, 0.0), (0.0, np.inf), (1.0, 2.0, 3.0)])
+def test_propagator_rejects_a_momentum_that_is_not_two_finite_reals(momentum):
+    with pytest.raises(ValueError, match="two finite reals"):
+        momentum_propagator(builtin_coin("grover"), momentum)
+
+
 def test_propagator_is_unitary(rng):
     coin = random_coin(rng)
     u = momentum_propagator(coin, (0.3, 5.1))

@@ -19,7 +19,9 @@ too.  If ``--out`` exists and records the same two commits, the new pairs
 are added to its workload entry, so a held-out seed extends the same
 record; the summaries are computed again over all pairs.  Medians and
 quartiles are numpy percentiles (linear); a pair counts as won when HEAD's
-value is strictly better, so ties count for neither side.
+value is strictly better, so ties count for neither side.  The ``FAILED``
+lines of each run are printed as it ends and kept under ``problems``; the
+exit code is 1 when any run of the workload's entry failed a check.
 """
 
 import argparse
@@ -41,11 +43,17 @@ HOST_KEYS = ("nproc", "python", "numpy", "blas", "blas_threads", "cache_sizes")
 
 
 def parse_result(stdout: str) -> dict:
-    """The JSON object that perfbench/run.py prints as its last line."""
+    """The JSON object that perfbench/run.py prints as its last line.
+
+    Its ``problems`` are the text of the ``FAILED`` lines printed before it,
+    the run's failed output checks (perfbench prints up to 5).
+    """
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("perfbench printed nothing")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]) | {
+        "problems": [line.removeprefix("FAILED ") for line in lines[:-1]
+                     if line.startswith("FAILED ")]}
 
 
 def _stats(runs):
@@ -100,6 +108,7 @@ def assemble(pairs: list[dict], metrics: dict) -> dict:
         "dirs": {side: [p["dirs"][side] for p in pairs] for side in SIDES},
         "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
         "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
+        "problems": {side: [p[side]["problems"] for p in pairs] for side in SIDES},
         "metrics": {name: _compare(pairs, name, spec) for name, spec in metrics.items()},
         "by_seed": {
             str(seed): _seed_summary([p for p in pairs if p["seed"] == seed], metrics)
@@ -116,6 +125,7 @@ def pairs_of(entry: dict) -> list[dict]:
             side: {
                 "attempted": entry["attempted"][side][i],
                 "failed": entry["failed"][side][i],
+                "problems": entry["problems"][side][i],
                 "metrics": {name: {"value": metric[side]["runs"][i]}
                             for name, metric in entry["metrics"].items()},
             }
@@ -193,6 +203,8 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side], run_record = _run(workdir / dirs[side], args,
                                               spec["run_seconds"])
+                for problem in pair[side]["problems"]:
+                    print(f"pair {i}: {side} FAILED {problem}", flush=True)
                 record.setdefault(side, {"commit": commits[side],
                                          "src_sha256": run_record["src_sha256"]})
             print(f"pair {i}: " + " ".join(
@@ -212,10 +224,11 @@ def main(argv=None) -> int:
         "pairs 1-4 ran each side first from each directory once ('dirs' lists each side's "
         "directory per pair). Values are the host-normalised metrics that perfbench/run.py "
         "prints; median and quartiles are over the pairs (numpy percentile, linear), and "
-        "by_seed repeats them for each seed. A pair is won when the change is strictly better.")
+        "by_seed repeats them for each seed. A pair is won when the change is strictly better. "
+        "'problems' lists, per side and pair, the failed output checks that run printed.")
     record.setdefault("workloads", {})[args.workload] = assemble(pairs, metrics)
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    return 0
+    return 1 if any(p[side]["failed"] for p in pairs for side in SIDES) else 0
 
 
 if __name__ == "__main__":
