@@ -2,12 +2,14 @@
 
 The direct route applies coin-and-shift to the sparse state, step by step.
 The momentum route Fourier-transforms the state over a periodic box, where
-each step is just a 4x4 matrix per momentum cell, applies the matrix power
-once, and transforms back.  The box must fit the wavefront (support span
-plus 2*steps sites; the call raises otherwise), and then the two agree to
-near machine precision.  The transforms run on the smallest even box per
-axis that holds the wavefront and has no prime factor above 7, capped at
-the given box: here 2 + 100 sites round up to 108 = 2^2 * 3^3, not 128.
+each step is just a 4x4 matrix per momentum cell, applies its power to the
+Fourier vectors, and transforms back; since U(k + pi, l + pi) = -U(k, l),
+the power is taken on half the momentum cells only.  The box must fit the
+wavefront (support span plus 2*steps sites; the call raises otherwise), and
+then the two agree to near machine precision.  The transforms run on the
+smallest even box per axis that holds the wavefront and has no prime factor
+above 7, capped at the given box: here 2 + 100 sites round up to
+108 = 2^2 * 3^3, not 128.
 """
 
 from time import perf_counter

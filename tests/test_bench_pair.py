@@ -124,3 +124,24 @@ def test_a_failed_check_is_printed_kept_and_fails_the_run(monkeypatch, tmp_path,
     entry = json.loads(out.read_text())["workloads"]["revival"]
     assert entry["failed"] == {"parent": [0, 0], "change": [0, 1]}
     assert entry["problems"]["change"] == [[], ["check 0: max |diff| 1e-3"]]
+
+
+def test_a_run_that_prints_no_result_line_stops_with_its_command_and_stderr(
+        monkeypatch, tmp_path):
+    # a perfbench run that raises during set-up exits 1 and prints no JSON line
+    stderr = "".join(f"  frame {k}\n" for k in range(30)) + \
+        "RuntimeError: reference support is not (t+1)^2\n"
+    canned = bench_pair.subprocess.CompletedProcess(
+        [], 1, stdout="workload=spread seed=3\n", stderr=stderr)
+    monkeypatch.setattr(bench_pair.subprocess, "run", lambda cmd, **kwargs: canned)
+    args = bench_pair.argparse.Namespace(workload="spread", seed=3)
+    with pytest.raises(SystemExit) as stop:
+        bench_pair._run(tmp_path / "b", args, 15)
+    message = str(stop.value)
+    assert "perfbench/run.py --workload spread --seed 3 --seconds 15 --trace 0" in message
+    assert f"in {tmp_path / 'b'} exited 1: perfbench printed no result line" in message
+    assert message.endswith("RuntimeError: reference support is not (t+1)^2")
+    # the last 20 lines of stderr
+    assert "frame 11\n" in message and "frame 10\n" not in message
+    with pytest.raises(ValueError, match="no result line"):
+        bench_pair.parse_result("workload=spread seed=3\n0.5\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
+    BUILTIN_COIN_NAMES,
     CoinComponent,
     CoinError,
     CoinOperator,
@@ -647,6 +648,56 @@ def test_momentum_box_is_capped_at_the_lattice_size(monkeypatch, rng):
     origin = make_basis_state((0, 0), CoinComponent.U)
     assert amp_diff(evolve(origin, coin, 100), evolve_momentum(origin, coin, 100, 202)) < 1e-12
     assert shapes == [(4, 202, 202)]
+
+
+@pytest.mark.parametrize("name", ["haar", *BUILTIN_COIN_NAMES])
+def test_momentum_symbol_changes_sign_at_k_plus_pi_and_l_plus_pi(name, rng):
+    coin = random_coin(rng) if name == "haar" else builtin_coin(name)
+    ks = -2 * np.pi * np.arange(12) / 12
+    ls = rng.uniform(-np.pi, np.pi, size=7)
+    shifted = dynamics._momentum_symbol(coin, ks + np.pi, ls + np.pi)
+    assert np.abs(shifted + dynamics._momentum_symbol(coin, ks, ls)).max() < 1e-15
+
+
+def test_every_move_changes_the_parity_of_m_plus_n():
+    # so every phase e^{+-ik}, e^{+-il} of the symbol changes sign at (k + pi, l + pi)
+    for i, j in dynamics._MOVES[False]:
+        assert ((i - 1) + (j - 1)) % 2 == 1
+
+
+def test_momentum_powers_the_symbol_on_half_the_k_axis(monkeypatch, rng):
+    coin = random_coin(rng)
+    sizes = []
+    symbol = dynamics._momentum_symbol
+
+    def recording(coin, ks, ls):
+        sizes.append((len(ks), len(ls)))
+        return symbol(coin, ks, ls)
+
+    monkeypatch.setattr(dynamics, "_momentum_symbol", recording)
+    origin = make_basis_state((0, 0), CoinComponent.R)
+    assert amp_diff(evolve(origin, coin, 8), evolve_momentum(origin, coin, 8, 256)) < 1e-12
+    line = PositionState({(m, 0): rng.normal(size=4) + 0j for m in range(60)})
+    assert amp_diff(evolve(line, coin, 30), evolve_momentum(line, coin, 30, 128)) < 1e-12
+    # the 18 x 18 and 120 x 64 boxes
+    assert sizes == [(9, 18), (60, 64)]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 7, 8, 99, 100])
+def test_momentum_on_half_the_box_matches_direct_at_odd_and_even_steps(steps, rng):
+    coin = random_coin(rng)
+    state = random_state(rng, n_sites=5, span=2)
+    assert amp_diff(evolve(state, coin, steps), evolve_momentum(state, coin, steps, 256)) < 1e-12
+    # 9 sites along n: a 16 x 24 box at 7 steps
+    line = PositionState({(0, n): rng.normal(size=4) + 0j for n in range(9)})
+    assert amp_diff(evolve(line, coin, 7), evolve_momentum(line, coin, 7, 64)) < 1e-12
+
+
+def test_momentum_of_one_site_at_zero_steps_runs_on_a_2_x_2_box(monkeypatch, rng):
+    shapes = _fft_shapes(monkeypatch)
+    site = PositionState({(3, -5): rng.normal(size=4) + 1j * rng.normal(size=4)})
+    assert amp_diff(site, evolve_momentum(site, random_coin(rng), 0, 64)) < 1e-15
+    assert shapes == [(4, 2, 2)]
 
 
 def test_nan_coin_is_rejected(tmp_path):

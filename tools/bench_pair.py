@@ -21,7 +21,10 @@ record; the summaries are computed again over all pairs.  Medians and
 quartiles are numpy percentiles (linear); a pair counts as won when HEAD's
 value is strictly better, so ties count for neither side.  The ``FAILED``
 lines of each run are printed as it ends and kept under ``problems``; the
-exit code is 1 when any run of the workload's entry failed a check.
+exit code is 1 when any run of the workload's entry failed a check.  A run
+that prints no result line (perfbench exits 1 on a traceback too) or exits
+with another code stops the tool with the command, the directory, the exit
+code and the tail of the run's stderr.
 """
 
 import argparse
@@ -40,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 DIRS = ("a", "b")
 HOST_KEYS = ("nproc", "python", "numpy", "blas", "blas_threads", "cache_sizes")
+STDERR_LINES = 20  # the tail of a failed run's stderr that is printed
 
 
 def parse_result(stdout: str) -> dict:
@@ -49,9 +53,13 @@ def parse_result(stdout: str) -> dict:
     the run's failed output checks (perfbench prints up to 5).
     """
     lines = stdout.strip().splitlines()
-    if not lines:
-        raise ValueError("perfbench printed nothing")
-    return json.loads(lines[-1]) | {
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise ValueError("perfbench printed no result line")
+    return result | {
         "problems": [line.removeprefix("FAILED ") for line in lines[:-1]
                      if line.startswith("FAILED ")]}
 
@@ -159,11 +167,17 @@ def _run(checkout: Path, args, seconds) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
-    if proc.returncode not in (0, 1):
+    try:
+        # exit 1 is a failed check, or a traceback that printed no result line
+        if proc.returncode not in (0, 1):
+            raise ValueError("not a perfbench exit code")
+        result = parse_result(proc.stdout)
+    except ValueError as err:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])
         sys.exit(f"bench_pair: {' '.join(cmd)} in {checkout} exited "
-                 f"{proc.returncode}:\n{proc.stderr}")
+                 f"{proc.returncode}: {err}\n{tail}")
     record = checkout / ".perfbench_out" / f"record-{args.workload}-seed{args.seed}-trace0.json"
-    return parse_result(proc.stdout), json.loads(record.read_text(encoding="utf-8"))
+    return result, json.loads(record.read_text(encoding="utf-8"))
 
 
 def main(argv=None) -> int:
