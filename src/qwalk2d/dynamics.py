@@ -39,14 +39,15 @@ The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
 Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  That symbol, in that one sign
 convention, is built only by ``_momentum_symbol``, its phases read off
-``_MOVES``.  :func:`evolve_momentum` powers it via FFTs and reproduces the
-direct path exactly; it raises unless ``span + 2*steps <= lattice_size``,
-so the wavefront cannot wrap around the box.  It computes on the smallest
-even box per axis that holds the wavefront and has no prime factor above
-7, capped at ``lattice_size``: any such box is the same walk.  Every move
-changes the parity of m + n, so U(k + pi, l + pi) = -U(k, l): on the even
-box the symbol is powered over half the k axis only, and each power is
-applied straight to the Fourier vectors.
+``_MOVES``, component-major as (4, 4, K, L) like the windows, so its
+readers index it in place.  :func:`evolve_momentum` powers it via FFTs and
+reproduces the direct path exactly; it raises unless ``span + 2*steps <=
+lattice_size``, so the wavefront cannot wrap around the box.  It computes
+on the smallest even box per axis that holds the wavefront and has no
+prime factor above 7, capped at ``lattice_size``: any such box is the same
+walk.  Every move changes the parity of m + n, so U(k + pi, l + pi) =
+-U(k, l): on the even box the symbol is powered over half the k axis only,
+and each power is applied straight to the Fourier vectors.
 """
 
 import math
@@ -411,16 +412,17 @@ def step(state: PositionState, coin: CoinOperator) -> PositionState:
 def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
     """Step matrices Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C over ks x ls.
 
-    Returns shape (len(ks), len(ls), 4, 4).  Every momentum-picture
-    computation builds its step matrices here: one sign convention, in
-    which the R component picks up e^{ik}, read off ``_MOVES``.
+    Returns a C-contiguous (4, 4, len(ks), len(ls)) array, component-major
+    like the windows.  Every momentum-picture computation builds its step
+    matrices here, in one sign convention: R picks up e^{ik}, per ``_MOVES``.
     """
     dm, dn = np.array(_MOVES[False]).T - 1
     # k + 0.0, 1j * d and np.where give e^{-ik} at k = 0 as 1 - 0j, the conjugate
     # of e^{ik}; a product with e^{0i} = 1 + 0j would give 1 + 0j
-    x = np.exp(np.multiply.outer(np.asarray(ks, dtype=float) + 0.0, 1j * dm))
-    y = np.exp(np.multiply.outer(np.asarray(ls, dtype=float) + 0.0, 1j * dn))
-    return np.where(dm != 0, x[:, None], y[None, :])[..., :, None] * coin.matrix
+    x = np.exp(np.multiply.outer(1j * dm, np.asarray(ks, dtype=float) + 0.0))
+    y = np.exp(np.multiply.outer(1j * dn, np.asarray(ls, dtype=float) + 0.0))
+    phases = np.where((dm != 0)[:, None, None], x[:, :, None], y[:, None, :])
+    return phases[:, None] * coin.matrix[:, :, None, None]
 
 
 def _fft_size(n: int) -> int:
@@ -483,21 +485,19 @@ def evolve_momentum(
     # both axes are even, so row j + rows is k - pi, and U(k - pi, l) = -U(k, l + pi):
     # the lower rows, rolled by half a row, share the upper rows' symbol
     rows, cols = shape[0] // 2, shape[1] // 2
-    # a contiguous copy: the reshape alone keeps a strided view, on which the
-    # einsums below run about 1.7 times slower
-    symbol = _momentum_symbol(coin, ks[:rows], ls).transpose(2, 3, 0, 1)
-    power = np.ascontiguousarray(symbol).reshape(4, 4, -1)
-    halves = (momentum[:, :rows], np.roll(momentum[:, rows:], -cols, axis=2))
-    vectors = np.stack(halves, axis=1).reshape(4, 2, -1)
+    power = _momentum_symbol(coin, ks[:rows], ls)
+    # a view of the Fourier vectors, whose axis 1 picks the upper or the lower rows
+    vectors = momentum.reshape(4, 2, rows, -1)
+    vectors[:, 1] = np.roll(vectors[:, 1], -cols, axis=2)
     # binary powering, each set bit of steps applied straight to the vectors
     for bit in range(steps.bit_length()):
         if bit:
-            power = np.einsum("ijn,jkn->ikn", power, power)
+            power = np.einsum("ij...,jk...->ik...", power, power)
         if steps >> bit & 1:
-            vectors = np.einsum("ijn,jsn->isn", power, vectors)
-    upper, lower = vectors.reshape(4, 2, rows, -1).swapaxes(0, 1)
-    lower = np.roll(-lower if steps % 2 else lower, cols, axis=2)
-    grid = np.fft.ifft2(np.concatenate((upper, lower), axis=1), axes=(1, 2))
+            vectors = np.einsum("ij...,js...->is...", power, vectors)
+    lower = vectors[:, 1]
+    vectors[:, 1] = np.roll(-lower if steps % 2 else lower, cols, axis=2)
+    grid = np.fft.ifft2(vectors.reshape(momentum.shape), axes=(1, 2))
 
     grid[np.abs(grid) < MOMENTUM_DROP_TOL] = 0
     return PositionState._from_sites(*_grid_sites(m0, n0, grid))

@@ -57,7 +57,7 @@ def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
     if values.shape != (2,) or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
         raise ValueError("momentum must be two finite reals")
     k, l = values
-    return _momentum_symbol(coin, [k], [l])[0, 0]
+    return _momentum_symbol(coin, [k], [l])[:, :, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,8 @@ def char_poly_profile(coin: CoinOperator, grid_size: int) -> CharPolyProfile:
     momenta = 2 * np.pi * np.arange(grid_size) / grid_size
     symbol = _momentum_symbol(coin, momenta, momenta)
     det_coin = complex(np.linalg.det(coin.matrix))
-    e1 = np.trace(symbol, axis1=-2, axis2=-1)
-    e2 = (e1**2 - np.einsum("...ij,...ji->...", symbol, symbol)) / 2
+    e1 = np.trace(symbol)
+    e2 = (e1**2 - np.einsum("ij...,ji...->...", symbol, symbol)) / 2
     for arr in (e1, e2):
         arr.flags.writeable = False
     return CharPolyProfile(grid_size=grid_size, e1=e1, e2=e2, det_coin=det_coin)

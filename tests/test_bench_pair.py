@@ -2,6 +2,11 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,21 +109,53 @@ def test_an_entry_gives_back_its_pairs():
     assert more["metrics"]["op_p50_s"]["change_better_in_pairs"] == "4/5"
 
 
-def test_a_failed_check_is_printed_kept_and_fails_the_run(monkeypatch, tmp_path, capsys):
-    # pair 2's change run fails one check; the runs themselves are canned
-    outputs = iter([_stdout(0.08, 100.0), _stdout(0.03, 300.0),
-                    _stdout(0.04, 110.0, 1), _stdout(0.09, 110.0)])
+def _canned_main(monkeypatch, tmp_path, outputs):
+    """bench_pair.main's arguments for 2 revival pairs, its runs taken from ``outputs``.
+
+    Each call of ``_run`` pops the first output and is recorded as the name
+    of its export directory.
+    """
+    calls = []
     host = {key: 1 for key in bench_pair.HOST_KEYS} | {"src_sha256": "0" * 64}
     spec = {"run_seconds": 1, "end_to_end": [{"name": k} | v for k, v in METRICS.items()]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pair, "_git", lambda *args: "abc")
     monkeypatch.setattr(bench_pair, "export", lambda commit, dest: dest.mkdir())
-    monkeypatch.setattr(bench_pair, "_run", lambda checkout, args, seconds:
-                        (bench_pair.parse_result(next(outputs)), host))
-    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench_pair, "_run", lambda checkout, args, seconds: (
+        calls.append(checkout.name) or bench_pair.parse_result(outputs.pop(0)), host))
     argv = ["--base", "HEAD~1", "--workload", "revival", "--seed", "3", "--pairs", "2",
-            "--out", str(out)]
+            "--out", str(tmp_path / "BENCH.json")]
+    return argv, calls
+
+
+def test_a_warm_up_run_before_pair_1_is_left_out_of_the_pairs(monkeypatch, tmp_path):
+    outputs = [_stdout(0.01, 999.0), _stdout(0.08, 100.0), _stdout(0.03, 300.0),
+               _stdout(0.04, 110.0), _stdout(0.09, 110.0)]
+    argv, calls = _canned_main(monkeypatch, tmp_path, outputs)
+    assert bench_pair.main(argv) == 0
+    # the warm-up is the parent, from directory a, as pair 1 runs it first
+    assert calls == ["a", "a", "b", "b", "a"]
+    entry = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["revival"]
+    assert entry["warmup"] == [{"seed": 3, "side": "parent", "op_p50_s": 0.01}]
+    assert entry["metrics"]["op_p50_s"]["parent"]["runs"] == [0.08, 0.09]
+    assert entry["metrics"]["op_p50_s"]["change"]["runs"] == [0.03, 0.04]
+    assert entry["metrics"]["work_per_s"]["parent"]["runs"] == [100.0, 110.0]
+    # a second invocation adds its warm-up and its pairs to the same entry
+    outputs += [_stdout(0.02, 999.0)] + [_stdout(0.05, 100.0)] * 4
+    assert bench_pair.main(argv) == 0
+    entry = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["revival"]
+    assert [w["op_p50_s"] for w in entry["warmup"]] == [0.01, 0.02]
+    assert entry["metrics"]["op_p50_s"]["parent"]["runs"] == [0.08, 0.09, 0.05, 0.05]
+
+
+def test_a_failed_check_is_printed_kept_and_fails_the_run(monkeypatch, tmp_path, capsys):
+    # pair 2's change run fails one check; the runs themselves are canned, the
+    # first of them the warm-up
+    outputs = [_stdout(0.08, 100.0), _stdout(0.08, 100.0), _stdout(0.03, 300.0),
+               _stdout(0.04, 110.0, 1), _stdout(0.09, 110.0)]
+    argv, _ = _canned_main(monkeypatch, tmp_path, outputs)
+    out = tmp_path / "BENCH.json"
     assert bench_pair.main(argv) == 1
     assert "pair 2: change FAILED check 0: max |diff| 1e-3" in capsys.readouterr().out
     entry = json.loads(out.read_text())["workloads"]["revival"]
@@ -145,3 +182,73 @@ def test_a_run_that_prints_no_result_line_stops_with_its_command_and_stderr(
     assert "frame 11\n" in message and "frame 10\n" not in message
     with pytest.raises(ValueError, match="no result line"):
         bench_pair.parse_result("workload=spread seed=3\n0.5\n")
+
+
+def _sleeper(checkout, pid_file):
+    """A perfbench/run.py in ``checkout`` that notes its pid, writes to stderr and sleeps."""
+    run = checkout / "perfbench" / "run.py"
+    run.parent.mkdir(parents=True)
+    run.write_text(
+        "import os, sys, time\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "print('warming up', file=sys.stderr, flush=True)\n"
+        "time.sleep(60)\n")
+
+
+def _gone(pid, seconds=10.0):
+    """Whether process ``pid`` no longer exists within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def test_a_run_that_times_out_stops_with_its_command_and_stderr(monkeypatch, tmp_path):
+    _sleeper(tmp_path / "a", tmp_path / "child.pid")
+    monkeypatch.setattr(bench_pair, "RUN_TIMEOUT", 2)
+    args = bench_pair.argparse.Namespace(workload="spectrum", seed=3)
+    with pytest.raises(SystemExit) as stop:
+        bench_pair._run(tmp_path / "a", args, 15)
+    message = str(stop.value)
+    assert "perfbench/run.py --workload spectrum --seed 3 --seconds 15 --trace 0" in message
+    assert f"in {tmp_path / 'a'} timed out after 2 s" in message
+    assert message.endswith("warming up")
+    assert _gone(int((tmp_path / "child.pid").read_text()))
+
+
+def test_sigterm_stops_the_running_child_and_removes_the_exports(tmp_path):
+    # a repository whose committed perfbench/run.py sleeps, so the tool's first
+    # run is still going when the signal comes
+    repo, scratch, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "child.pid"
+    (repo / "tools").mkdir(parents=True)
+    scratch.mkdir()
+    (repo / "tools" / "bench_pair.py").write_bytes(TOOL.read_bytes())
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
+    _sleeper(repo, pid_file)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "sleeping perfbench"], check=True)
+    tool = subprocess.Popen(
+        [sys.executable, str(repo / "tools" / "bench_pair.py"), "--base", "HEAD",
+         "--workload", "spread", "--seed", "3", "--pairs", "1",
+         "--out", str(tmp_path / "BENCH.json")],
+        env=os.environ | {"TMPDIR": str(scratch)}, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() or not pid_file.read_text():
+            assert time.monotonic() < deadline and tool.poll() is None
+            time.sleep(0.05)
+        assert any(scratch.iterdir())
+        tool.send_signal(signal.SIGTERM)
+        _, stderr = tool.communicate(timeout=30)
+    finally:
+        tool.kill()
+    assert tool.returncode == 1
+    assert f"stopped by signal {int(signal.SIGTERM)}" in stderr
+    assert _gone(int(pid_file.read_text()))
+    assert list(scratch.iterdir()) == []

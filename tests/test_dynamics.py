@@ -651,6 +651,21 @@ def test_momentum_box_is_capped_at_the_lattice_size(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("name", ["haar", *BUILTIN_COIN_NAMES])
+def test_momentum_symbol_is_component_major(name, rng):
+    coin = random_coin(rng) if name == "haar" else builtin_coin(name)
+    ks = np.array([0.0, 1.25, -np.pi])
+    ls = np.array([-2.0, -0.5, 0.0, 0.75, np.pi])
+    symbol = dynamics._momentum_symbol(coin, ks, ls)
+    assert symbol.shape == (4, 4, 3, 5)
+    assert symbol.flags.c_contiguous
+    for a, k in enumerate(ks):
+        for b, l in enumerate(ls):
+            phases = np.exp(1j * np.array([k, -k, l, -l]))
+            expected = np.diag(phases) @ coin.matrix
+            assert np.abs(symbol[:, :, a, b] - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["haar", *BUILTIN_COIN_NAMES])
 def test_momentum_symbol_changes_sign_at_k_plus_pi_and_l_plus_pi(name, rng):
     coin = random_coin(rng) if name == "haar" else builtin_coin(name)
     ks = -2 * np.pi * np.arange(12) / 12

@@ -14,6 +14,10 @@ runs the base first when i is odd and HEAD first when i is even.  The two
 directories swap names every second pair, so pairs 1-4 run each side first
 from each directory once, and a cost that follows the directory (the spread
 workload's peak RSS moved by about 2.6% with it) cancels in the median.
+Before pair 1 the side that pair 1 runs first runs once more, from the same
+directory, and that run is left out of the pairs: the first spectrum run of
+an invocation used to read the fastest of the record.  Its ``op_p50_s`` is
+kept under ``warmup``, one entry per invocation.
 Units, directions and bounds of the metrics are read from BENCHMARK.json
 too.  If ``--out`` exists and records the same two commits, the new pairs
 are added to its workload entry, so a held-out seed extends the same
@@ -22,15 +26,18 @@ quartiles are numpy percentiles (linear); a pair counts as won when HEAD's
 value is strictly better, so ties count for neither side.  The ``FAILED``
 lines of each run are printed as it ends and kept under ``problems``; the
 exit code is 1 when any run of the workload's entry failed a check.  A run
-that prints no result line (perfbench exits 1 on a traceback too) or exits
-with another code stops the tool with the command, the directory, the exit
-code and the tail of the run's stderr.
+that prints no result line (perfbench exits 1 on a traceback too), exits
+with another code or runs past ``RUN_TIMEOUT`` seconds stops the tool with
+the command, the directory, the exit code or "timed out" and the tail of the
+run's stderr.  SIGTERM stops the tool as an exception does: the running
+perfbench child is killed and the exports are removed.
 """
 
 import argparse
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tarfile
@@ -44,6 +51,7 @@ SIDES = ("parent", "change")
 DIRS = ("a", "b")
 HOST_KEYS = ("nproc", "python", "numpy", "blas", "blas_threads", "cache_sizes")
 STDERR_LINES = 20  # the tail of a failed run's stderr that is printed
+RUN_TIMEOUT = 900  # seconds a perfbench run may take
 
 
 def parse_result(stdout: str) -> dict:
@@ -162,20 +170,29 @@ def export(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def _stop(cmd, checkout: Path, what: str, stderr: str):
+    """Exit with the failed run's command, directory, outcome and stderr tail."""
+    tail = "\n".join(stderr.splitlines()[-STDERR_LINES:])
+    sys.exit(f"bench_pair: {' '.join(cmd)} in {checkout} {what}\n{tail}")
+
+
 def _run(checkout: Path, args, seconds) -> tuple[dict, dict]:
     """One perfbench run in ``checkout``: its parsed result and its run record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT)
         # exit 1 is a failed check, or a traceback that printed no result line
         if proc.returncode not in (0, 1):
             raise ValueError("not a perfbench exit code")
         result = parse_result(proc.stdout)
+    except subprocess.TimeoutExpired as err:
+        # the output read before the timeout is kept as bytes, even with text=True
+        _stop(cmd, checkout, f"timed out after {err.timeout:g} s",
+              (err.stderr or b"").decode(errors="replace"))
     except ValueError as err:
-        tail = "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])
-        sys.exit(f"bench_pair: {' '.join(cmd)} in {checkout} exited "
-                 f"{proc.returncode}: {err}\n{tail}")
+        _stop(cmd, checkout, f"exited {proc.returncode}: {err}", proc.stderr)
     record = checkout / ".perfbench_out" / f"record-{args.workload}-seed{args.seed}-trace0.json"
     return result, json.loads(record.read_text(encoding="utf-8"))
 
@@ -201,11 +218,18 @@ def main(argv=None) -> int:
         sys.exit(f"bench_pair: {args.out} records other commits")
     entry = record.get("workloads", {}).get(args.workload)
     pairs = pairs_of(entry) if entry else []
+    warmups = entry.get("warmup", []) if entry else []
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
         workdir = Path(tmp)
         placed = dict(zip(SIDES, DIRS))
         for side in SIDES:
             export(commits[side], workdir / placed[side])
+        first = schedule(1)[0][0]
+        warmup, _ = _run(workdir / placed[first], args, spec["run_seconds"])
+        warmups.append({"seed": args.seed, "side": first,
+                        "op_p50_s": warmup["metrics"]["op_p50_s"]["value"]})
+        print(f"warm-up: {first} op_p50_s={warmups[-1]['op_p50_s']:.6g} "
+              f"failed={warmup['failed']}, left out of the pairs", flush=True)
         for i in range(1, args.pairs + 1):
             order, dirs = schedule(i)
             if dirs != placed:
@@ -239,11 +263,22 @@ def main(argv=None) -> int:
         "directory per pair). Values are the host-normalised metrics that perfbench/run.py "
         "prints; median and quartiles are over the pairs (numpy percentile, linear), and "
         "by_seed repeats them for each seed. A pair is won when the change is strictly better. "
-        "'problems' lists, per side and pair, the failed output checks that run printed.")
-    record.setdefault("workloads", {})[args.workload] = assemble(pairs, metrics)
+        "'problems' lists, per side and pair, the failed output checks that run printed. "
+        "Before pair 1 of each invocation, the side that pair 1 ran first ran once more from "
+        "its directory; that run is left out of the pairs, and 'warmup' keeps its seed, "
+        "side and op_p50_s, one entry per invocation.")
+    record.setdefault("workloads", {})[args.workload] = \
+        assemble(pairs, metrics) | {"warmup": warmups}
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 1 if any(p[side]["failed"] for p in pairs for side in SIDES) else 0
 
 
+def _terminate(signum, frame):
+    sys.exit(f"bench_pair: stopped by signal {signum}")
+
+
 if __name__ == "__main__":
+    # SystemExit from the handler unwinds like any exception: subprocess.run
+    # kills the running perfbench child and TemporaryDirectory removes the exports
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
