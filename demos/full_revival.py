@@ -19,7 +19,7 @@ for t in range(7):
     print(f"{t}  {str(current.points):22s} {fid:.12f}")
     current = step(current, grover)
 
-report = detect_period(state, grover, t_max=12, tolerance=1e-10)
+report = detect_period(state, grover, t_max=12)
 print(f"\ndetected period: {report.period}")
 print(f"recovered phase: {report.phase:.6f}")
 print(f"fidelity series: {[round(f, 6) for f in report.fidelity_series]}")

@@ -8,7 +8,7 @@ the power is taken on half the momentum cells only.  The box must fit the
 wavefront (support span plus 2*steps sites; the call raises otherwise), and
 then the two agree to near machine precision.  The transforms run on the
 smallest even box per axis that holds the wavefront and has no prime factor
-above 7, capped at the given box: here 2 + 100 sites round up to
+above 7, whatever box is given: here 2 + 100 sites round up to
 108 = 2^2 * 3^3, not 128.
 """
 

@@ -7,8 +7,8 @@ output; diagnostics go to standard error.  Exit codes: 0 on success, 3 for
 a ``CoinError``, 2 for any other ``ValueError`` or an ``OSError``: a bad
 option, an input file that cannot be read or parsed, an ``--out`` that is
 not a directory, an output file that cannot be written, or an input range
-(step counts, grid and box sizes, tolerances) the library functions
-reject.  A run whose output cannot be written leaves none of its files.
+(step counts, grid and box sizes) the library functions reject.  A run
+whose output cannot be written leaves none of its files.
 """
 
 import argparse
@@ -133,11 +133,11 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 
 def cmd_spectrum(args: argparse.Namespace) -> str:
     coin = _resolve("coin", args.coin, _COINS, load_coin)
-    report = detect_constant_eigenvalues(coin, args.grid, args.tol)
+    report = detect_constant_eigenvalues(coin, args.grid)
     with _outputs(args.out) as write:
         write("spectrum.json", _write_json, report.to_json_dict())
     return (
-        f"spectrum coin={args.coin} grid={args.grid} tol={args.tol:g}: "
+        f"spectrum coin={args.coin} grid={args.grid} tol={report.tolerance:g}: "
         f"constants={len(report.constants)} pairing_ok={report.pairing_ok} "
         f"four_constant={report.four_constant} c_zero={report.profile.c_zero}"
     )
@@ -164,7 +164,7 @@ def cmd_stationary(args: argparse.Namespace) -> str:
 def cmd_revival(args: argparse.Namespace) -> str:
     coin = _resolve("coin", args.coin, _COINS, load_coin)
     initial = _resolve("initial state", args.init, _INITIAL_STATES, _load_initial)
-    report = detect_period(initial, coin, args.tmax, args.tol)
+    report = detect_period(initial, coin, args.tmax)
     with _outputs(args.out) as write:
         write("revival.json", _write_json, report.to_json_dict())
         returns = report.return_probability
@@ -203,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--steps", type=int, required=True)
 
     spectrum.add_argument("--grid", type=int, default=64)
-    spectrum.add_argument("--tol", type=float, default=1e-8)
 
     stationary.add_argument(
         "--lambda",
@@ -214,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stationary.add_argument("--box", type=int, default=2)
 
     revival.add_argument("--tmax", type=int, required=True)
-    revival.add_argument("--tol", type=float, default=1e-10)
 
     return parser
 

@@ -41,10 +41,11 @@ Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  That symbol, in that one sign
 convention, is built only by ``_momentum_symbol``, its phases read off
 ``_MOVES``, component-major as (4, 4, K, L) like the windows, so its
 readers index it in place.  :func:`evolve_momentum` powers it via FFTs and
-reproduces the direct path exactly; it raises unless ``span + 2*steps <=
-lattice_size``, so the wavefront cannot wrap around the box.  It computes
-on the smallest even box per axis that holds the wavefront and has no
-prime factor above 7, capped at ``lattice_size``: any such box is the same
+reproduces the direct path exactly.  Its ``lattice_size`` is the periodic
+box the wavefront must fit: it raises unless ``span + 2*steps <=
+lattice_size``.  It computes on the smallest even box per axis that holds
+the wavefront and has no prime factor above 7, which can be a few cells
+wider than ``lattice_size``: any box that holds the wavefront is the same
 walk.  Every move changes the parity of m + n, so U(k + pi, l + pi) =
 -U(k, l): on the even box the symbol is powered over half the k axis only,
 and each power is applied straight to the Fourier vectors.
@@ -437,7 +438,7 @@ def _fft_size(n: int) -> int:
 def evolve_momentum(
     state: PositionState, coin: CoinOperator, steps: int, lattice_size: int
 ) -> PositionState:
-    """Evolve on an N x N periodic box in the momentum picture.
+    """Evolve in the momentum picture, as on a periodic box of side ``lattice_size``.
 
     The state is placed in a box centered on its support, transformed with
     an FFT per coin component, multiplied at each momentum by the
@@ -449,11 +450,12 @@ def evolve_momentum(
     result matches :func:`evolve` to rounding provided the wavefront never
     wraps around the box, which holds exactly when ``span + 2*steps <=
     lattice_size`` for a support spanning ``span`` sites along its wider
-    axis.  The walk on every even box at least that wide is then the same,
+    axis; ``lattice_size`` is the box the wavefront must fit, not the box
+    computed on.  The walk on every even box at least that wide is the same,
     so the computation runs, per axis, on the smallest even box holding the
     support's extent along it plus ``2*steps`` whose prime factors are at
-    most 7 (fast FFT lengths), capped at ``lattice_size``.  Resulting
-    amplitudes below 1e-14 are dropped.
+    most 7 (fast FFT lengths).  Resulting amplitudes below 1e-14 are
+    dropped.
 
     Raises ValueError for a step count that is negative or not an integer,
     a box size that is odd, nonpositive or not an integer, a box too small
@@ -473,7 +475,7 @@ def evolve_momentum(
             f"state support spans {span} sites and {steps} steps widen it by "
             f"{2 * steps}, exceeding the {size}-site periodic box"
         )
-    shape = [min(size, _fft_size(int(np.ptp(c)) + 1 + 2 * steps)) for c in (m, n)]
+    shape = [_fft_size(int(np.ptp(c)) + 1 + 2 * steps) for c in (m, n)]
     m0, n0 = ((int(c.min()) + int(c.max()) + 1) // 2 - s // 2 for c, s in zip((m, n), shape))
 
     grid = np.zeros((4, *shape), dtype=complex)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CoinOperator, _amplitudes, _grid_sites, _norm, _step_box, _trajectory
-from .spectral import _check_tolerance
 from .states import PositionState, _check_norm, _integer, _require_normalized
 
 __all__ = [
@@ -49,6 +48,9 @@ __all__ = [
 # singular values at or below this fraction of the largest one count as
 # null directions in the finite-support search
 NULL_SPACE_RTOL = 1e-10
+
+# a fidelity at or above 1 minus this counts as a full revival
+REVIVAL_TOL = 1e-10
 
 
 def grover_stationary_states() -> tuple[PositionState, PositionState]:
@@ -149,7 +151,8 @@ class RevivalReport:
     """Fidelity-to-initial and return-probability series of one walk.
 
     ``period`` is the first step count at which the fidelity reaches
-    1 - tolerance, or None if that never happens within the scanned range;
+    1 - ``REVIVAL_TOL`` (1e-10), or None if that never happens within the
+    scanned range;
     ``phase`` is then the recovered global phase <initial|state(period)>.
     ``fidelity_series[t - 1]`` holds the fidelity after t steps and
     ``return_probability[t]`` the probability at the origin after t steps,
@@ -158,14 +161,13 @@ class RevivalReport:
 
     period: int | None
     fidelity_series: tuple[float, ...]
-    tolerance: float
     phase: complex | None
     return_probability: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
             "period": self.period,
-            "tolerance": self.tolerance,
+            "tolerance": REVIVAL_TOL,
             "fidelity_series": list(self.fidelity_series),
             "phase": None
             if self.phase is None
@@ -180,24 +182,22 @@ def _probability(vec) -> float:
     return float(np.sum(np.abs(vec) ** 2))
 
 
-def detect_period(
-    initial: PositionState, coin: CoinOperator, t_max: int, tolerance: float = 1e-10
-) -> RevivalReport:
+def detect_period(initial: PositionState, coin: CoinOperator, t_max: int) -> RevivalReport:
     """Scan up to ``t_max`` steps for a full revival of ``initial``.
 
-    The criterion is fidelity >= 1 - tolerance, which is insensitive to a
-    global phase; the recovered phase is reported separately.  Both series
-    are always recorded out to ``t_max``, even past a detected revival.
-    Raises ValueError for an unnormalized start, a ``t_max`` that is not an
-    integer of at least 1, or a tolerance that is not a real number in
-    [1e-12, 1e-4], and, as :func:`qwalk2d.fidelity` would, if the walked
-    state drifts off norm 1 by more than 1e-9.
+    The criterion is fidelity >= 1 - ``REVIVAL_TOL`` (1e-10), which is
+    insensitive to a global phase; the recovered phase is reported
+    separately.  Both series are always recorded out to ``t_max``, even past
+    a detected revival, so a caller who needs another threshold scans
+    ``fidelity_series``.  Raises ValueError for an unnormalized start, a
+    ``t_max`` that is not an integer of at least 1, and, as
+    :func:`qwalk2d.fidelity` would, if the walked state drifts off norm 1 by
+    more than 1e-9.
     """
     _require_normalized(initial, "detect_period")
     t_max = _integer(t_max, "t_max")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    tolerance = _check_tolerance(tolerance)
     # the origin rides along as the last row: one window read per step
     m, n, amps = initial._sites()
     points = np.vstack([np.column_stack((m, n)), _ORIGIN])
@@ -218,13 +218,12 @@ def detect_period(
         overlap = complex(np.sum(amps[both].conj() * here[both]))
         fidelity = min(1.0, abs(overlap) ** 2)
         series.append(fidelity)
-        if period is None and fidelity >= 1.0 - tolerance:
+        if period is None and fidelity >= 1.0 - REVIVAL_TOL:
             period = t
             phase = overlap
     return RevivalReport(
         period=period,
         fidelity_series=tuple(series),
-        tolerance=tolerance,
         phase=phase,
         return_probability=tuple(returns),
     )

@@ -40,16 +40,6 @@ __all__ = [
 # momentum-independent
 C_ZERO_VARIANCE_TOL = 1e-10
 
-# accepted decision tolerances, for this scan and for revival detection
-_TOLERANCE_RANGE = (1e-12, 1e-4)
-
-
-def _check_tolerance(tolerance: float) -> float:
-    lo, hi = _TOLERANCE_RANGE
-    if not (isinstance(tolerance, numbers.Real) and lo <= tolerance <= hi):
-        raise ValueError(f"tolerance must be a real number in [{lo:g}, {hi:g}]")
-    return float(tolerance)
-
 
 def momentum_propagator(coin: CoinOperator, momentum) -> np.ndarray:
     """The 4x4 step matrix at one momentum pair (k, l)."""
@@ -166,7 +156,9 @@ def detect_constant_eigenvalues(
     number in [1e-12, 1e-4].
     """
     profile = char_poly_profile(coin, grid_size)
-    tolerance = _check_tolerance(tolerance)
+    if not (isinstance(tolerance, numbers.Real) and 1e-12 <= tolerance <= 1e-4):
+        raise ValueError("tolerance must be a real number in [1e-12, 0.0001]")
+    tolerance = float(tolerance)
     c = coin.matrix
     diagonal = np.abs(np.diag(c))
     if diagonal.max() > tolerance:

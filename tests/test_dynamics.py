@@ -1,7 +1,9 @@
 """Coins, the walk step, direct evolution, and the momentum-picture path."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,12 @@ from qwalk2d.revival import (
 from conftest import amp_diff, random_state
 
 GROVER_ENTRIES = 0.5 * np.ones((4, 4)) - np.eye(4)
+
+# the benchmark's dense-grid walk, which shares no code with the package
+WALK_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "walk_reference.py"
+_spec = importlib.util.spec_from_file_location("walk_reference", WALK_REFERENCE)
+walk_reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(walk_reference)
 
 
 def _write_coin_file(path, matrix):
@@ -479,22 +487,6 @@ def test_support_stays_on_parity_diamond():
             assert (m + n - t) % 2 == 0
 
 
-def _dense_walk(matrix, amps, steps):
-    """The walk from one site at the center of a plain (4, 2t+1, 2t+1) grid."""
-    grid = np.zeros((4, 2 * steps + 1, 2 * steps + 1), dtype=complex)
-    grid[:, steps, steps] = amps
-    for t in range(steps):
-        # after t steps the walk lies within t sites of the center
-        box = grid[:, steps - t - 1 : steps + t + 2, steps - t - 1 : steps + t + 2]
-        flipped = (matrix @ box.reshape(4, -1)).reshape(box.shape)
-        box[...] = 0
-        box[0, 1:, :] = flipped[0, :-1, :]  # R: m + 1
-        box[1, :-1, :] = flipped[1, 1:, :]  # L: m - 1
-        box[2, :, 1:] = flipped[2, :, :-1]  # U: n + 1
-        box[3, :, :-1] = flipped[3, :, 1:]  # D: n - 1
-    return grid
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_long_walk_keeps_every_light_cone_site(seed):
     # after 200 steps the largest component at some light-cone sites is
@@ -508,9 +500,12 @@ def test_a_long_walk_keeps_every_light_cone_site(seed):
     cone = [(a, b) for a in range(-200, 201) for b in range(-200, 201)
             if abs(a) + abs(b) <= 200 and (a + b) % 2 == 0]
     assert out.points == cone
-    grid = np.zeros((4, 401, 401), dtype=complex)
-    grid[:, m + 200, n + 200] = np.array([vec for _, vec in out.items()]).T
-    assert np.abs(grid - _dense_walk(coin.matrix, amps, 200)).max() < 1e-12
+    dense = walk_reference.DenseWalk(coin.matrix, {(0, 0): amps}, 200)
+    for _ in range(200):
+        dense.step()
+    grid = np.zeros_like(dense.grid)
+    grid[:, m + dense.radius, n + dense.radius] = np.array([vec for _, vec in out.items()]).T
+    assert np.abs(grid - dense.grid).max() < 1e-12
 
 
 # ------------------------------------------------------- momentum picture
@@ -641,13 +636,14 @@ def test_fft_size_is_the_smallest_even_7_smooth_size():
         assert dynamics._fft_size(n) == min(k for k in sizes if k >= n)
 
 
-def test_momentum_box_is_capped_at_the_lattice_size(monkeypatch, rng):
-    # 201 sites would round up to 210 = 2 * 3 * 5 * 7, past the 202-site box
+def test_momentum_box_can_be_wider_than_the_lattice_size(monkeypatch, rng):
+    # 201 sites round up to 210 = 2 * 3 * 5 * 7, past the 202-site box the
+    # wavefront must fit: a wider box is the same walk
     coin = random_coin(rng)
     shapes = _fft_shapes(monkeypatch)
     origin = make_basis_state((0, 0), CoinComponent.U)
     assert amp_diff(evolve(origin, coin, 100), evolve_momentum(origin, coin, 100, 202)) < 1e-12
-    assert shapes == [(4, 202, 202)]
+    assert shapes == [(4, 210, 210)]
 
 
 @pytest.mark.parametrize("name", ["haar", *BUILTIN_COIN_NAMES])

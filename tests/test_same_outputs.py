@@ -6,7 +6,15 @@ from pathlib import Path
 
 import numpy as np
 
-from qwalk2d import CoinOperator, find_local_stationary_states, load_coin, load_state
+from qwalk2d import (
+    CoinOperator,
+    builtin_coin,
+    detect_period,
+    find_local_stationary_states,
+    load_coin,
+    load_state,
+    revival_state,
+)
 from qwalk2d.dynamics import _to_windows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +47,40 @@ def test_copies_of_one_tree_are_the_same_and_a_changed_summary_differs(tmp_path,
     assert lines[0] == f"DIFF  qwalk2d {COMMANDS[0]}  (stdout)"
     assert "+revival coin=grover init=revival tmax=4: revival period=2" in lines
     assert lines[-1] == f"SAME  qwalk2d {COMMANDS[1]}"
+
+
+def test_a_differing_file_reports_how_far_its_numbers_moved(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for tree in (base, head):
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    revival = head / "src" / "qwalk2d" / "revival.py"
+    text = revival.read_text()
+    assert text.count('{"re": self.phase.real,') == 1
+    revival.write_text(text.replace('{"re": self.phase.real,',
+                                    '{"re": np.nextafter(self.phase.real, 2),'))
+    assert same_outputs.compare(base, head, COMMANDS[:1]) == 1
+    phase = detect_period(revival_state(), builtin_coin("grover"), 4).phase.real
+    assert capsys.readouterr().out.splitlines() == [
+        f"DIFF  qwalk2d {COMMANDS[0]}  (files)",
+        "  files differ: revival.json",
+        f"  revival.json: max |diff| {np.nextafter(phase, 2) - phase:.2g} at phase.re",
+    ]
+
+
+def test_describe_reads_a_csv_by_column_and_names_a_change_of_shape():
+    describe = same_outputs.describe
+    base = b"t,prob\n0,1\n1,0.25\n"
+    assert describe("p.csv", base, b"t,prob\n0,1\n1,0.2500001\n") == (
+        "  p.csv: max |diff| 1e-07 at prob[1]")
+    assert describe("p.csv", base, b"t,p\n0,1\n1,0.25\n") == "  p.csv: structure differs"
+    assert describe("p.csv", base, b"t,prob\n0,1\n") == (
+        "  p.csv: structure differs at t")
+    assert describe("r.json", b'{"a": [1, {"b": 2.5}], "c": true}',
+                    b'{"a": [1, {"b": 2.0}], "c": true}') == "  r.json: max |diff| 0.5 at a[1].b"
+    assert describe("r.json", b'{"a": [1], "c": true}', b'{"a": [1], "c": false}') == (
+        "  r.json: structure differs at c")
+    assert describe("r.json", b'{"a": null}', b'{"a": 1.0}') == "  r.json: structure differs at a"
 
 
 def test_the_init_state_file_is_normalized_and_walks_in_two_frames(tmp_path):

@@ -12,10 +12,8 @@ from qwalk2d import (
     builtin_coin,
     char_poly_profile,
     detect_constant_eigenvalues,
-    detect_period,
     momentum_propagator,
     random_coin,
-    revival_state,
     spectral,
 )
 from qwalk2d import cli
@@ -336,8 +334,7 @@ def test_detection_runs_no_eigensolve_and_spectrum_builds_one_symbol(
 
 @pytest.mark.parametrize("name", ["grover", "swap", "hadamard4"])
 def test_spectrum_json_is_the_report_dict(name, tmp_path):
-    assert main(["spectrum", "--coin", name, "--grid", "16", "--tol", "1e-8",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["spectrum", "--coin", name, "--grid", "16", "--out", str(tmp_path)]) == 0
     report = detect_constant_eigenvalues(builtin_coin(name), 16, 1e-8)
     expected = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "spectrum.json").read_text(encoding="utf-8") == expected
@@ -429,14 +426,9 @@ def test_spectrum_report_json_fields():
 
 
 def test_reports_store_a_numpy_tolerance_as_a_float():
-    grover = builtin_coin("grover")
-    reports = (
-        detect_constant_eigenvalues(grover, 16, np.float32(1e-8)),
-        detect_period(revival_state(), grover, 4, np.float32(1e-10)),
-    )
-    for report in reports:
-        assert type(report.tolerance) is float
-        assert json.loads(json.dumps(report.to_json_dict()))["tolerance"] == report.tolerance
+    report = detect_constant_eigenvalues(builtin_coin("grover"), 16, np.float32(1e-8))
+    assert type(report.tolerance) is float
+    assert json.loads(json.dumps(report.to_json_dict()))["tolerance"] == report.tolerance
 
 
 # -------------------------------------------- closed-form Grover eigenvectors

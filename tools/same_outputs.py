@@ -12,11 +12,19 @@ alone on PYTHONPATH, in a fresh directory that is also its ``--out``.  The
 exit code, standard output, standard error (with the run directory written
 as ``<out>``) and the bytes of every file left in the run directory are
 compared.  The tool prints SAME or DIFF per command, with a diff of the
-texts that differ, and exits 1 if any command differs.
+texts that differ, and exits 1 if any command differs.  For each output
+file (JSON or CSV) that differs it prints how far it moved: the largest
+|a - b| over the numbers at equal places and the path of that number (a CSV
+is read as its columns, so ``re_R[11]`` is row 11 of column ``re_R``,
+counting data rows from 0), or where the keys, lengths, types or other
+values differ.
 """
 
 import argparse
+import csv
 import difflib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -122,6 +130,59 @@ def _run(tree: Path, command: str, run_dir: Path) -> dict:
             "files": files}
 
 
+class _StructureDiffers(Exception):
+    """Raised with the path where two parsed files stop having one shape."""
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parsed(name: str, data: bytes):
+    """A ``.json`` file as parsed; any other as CSV columns, numbers as floats."""
+    if name.endswith(".json"):
+        return json.loads(data)
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    return {column: [_cell(row[i]) for row in rows] for i, column in enumerate(header)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _largest_diff(a, b, path: str = "") -> tuple[float, str]:
+    """The largest |a - b| over the numbers at equal paths in ``a`` and ``b``, and its path.
+
+    Raises ``_StructureDiffers`` at the first path where the keys, the
+    lengths or the types differ, or where two leaves that are not numbers
+    are unequal.
+    """
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(f"{path}.{key}".lstrip("."), a[key], b[key]) for key in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif _is_number(a) and _is_number(b):
+        return abs(a - b), path
+    elif type(a) is type(b) and a == b:
+        return 0.0, path
+    else:
+        raise _StructureDiffers(path)
+    return max((_largest_diff(x, y, where) for where, x, y in pairs),
+               key=lambda found: found[0], default=(0.0, path))
+
+
+def describe(name: str, base: bytes, head: bytes) -> str:
+    """One line on how far the file ``name`` moved from ``base`` to ``head``."""
+    try:
+        diff, path = _largest_diff(_parsed(name, base), _parsed(name, head))
+    except _StructureDiffers as exc:
+        return f"  {name}: structure differs" + (f" at {exc}" if str(exc) else "")
+    return f"  {name}: max |diff| {diff:.2g} at {path}"
+
+
 def compare(base: Path, head: Path, commands: list[str]) -> int:
     """Run ``commands`` on the trees ``base`` and ``head``; 1 if any differs, else 0."""
     differ = False
@@ -134,9 +195,13 @@ def compare(base: Path, head: Path, commands: list[str]) -> int:
             print(f"{'DIFF' if parts else 'SAME'}  qwalk2d {command}".rstrip()
                   + (f"  ({', '.join(parts)})" if parts else ""))
             if "files" in parts:
-                names = sorted(runs[0]["files"].keys() | runs[1]["files"].keys())
-                print("  files differ: " + ", ".join(
-                    n for n in names if runs[0]["files"].get(n) != runs[1]["files"].get(n)))
+                base_files, head_files = runs[0]["files"], runs[1]["files"]
+                names = [n for n in sorted(base_files.keys() | head_files.keys())
+                         if base_files.get(n) != head_files.get(n)]
+                print("  files differ: " + ", ".join(names))
+                for n in names:
+                    if n in base_files and n in head_files:
+                        print(describe(n, base_files[n], head_files[n]))
             for key in ("stdout", "stderr"):
                 if key in parts:
                     sys.stdout.writelines(difflib.unified_diff(
