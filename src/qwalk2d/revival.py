@@ -9,9 +9,14 @@ arbitrary coins by solving a box-restricted eigenproblem, and reads two
 observables off one walk: the fidelity to the initial state, whose first
 return to 1 is the revival period, and the return probability.  The
 search builds its eigen-equation with the walk's own step, coin and shift
-(``dynamics._step_box``), one column per cell of a (4, s, s) box, and reads
-each null vector back as such a box, as the walk does.  It searches the
-box [0, s)^2; :meth:`PositionState.translate` moves what it finds.
+(``dynamics._step_box``) and reads each null vector back as a (4, s, s)
+box, as the walk does.  Every move flips the parity of m + n, so the step
+maps the box's odd-parity cells onto even ones and back; the search solves
+for the odd half of an eigenstate alone, one column per component of an
+odd cell, and the step gives the even half.  That system involves the
+eigenvalue squared only, so +lambda and -lambda share it, the same parity
+structure that pairs the constant eigenvalues.  It searches the box
+[0, s)^2; :meth:`PositionState.translate` moves what it finds.
 
 The return probability after t steps is the probability of finding the
 walker at the lattice origin (0, 0), coin components traced out, for any
@@ -98,10 +103,20 @@ def revival_state() -> PositionState:
 
 @dataclass(frozen=True)
 class StationaryStateSet:
-    """Orthonormal finite-support eigenstates found inside a search box."""
+    """Orthonormal finite-support eigenstates found inside a search box.
+
+    ``largest_null`` and ``smallest_kept`` are the search's margins on
+    either side of its cutoff, as ratios sigma / sigma_max of the singular
+    values of its eigen-equation: the largest one counted as a null
+    direction and the smallest one kept.  The ratios lie in [0, 1], so an
+    empty side reads as the end farthest from the cutoff: 0.0 when no
+    direction is null, 1.0 when none is kept.
+    """
 
     eigenvalue: complex
     states: tuple[PositionState, ...]
+    largest_null: float
+    smallest_kept: float
 
     def __len__(self):
         return len(self.states)
@@ -112,13 +127,21 @@ def find_local_stationary_states(
 ) -> StationaryStateSet:
     """Eigenstates of the walk step supported inside the s x s box [0, s)^2.
 
-    A state supported in the box maps, after one step, onto the box padded
-    by one site in every direction; demanding step(state) = eigenvalue *
-    state on the whole padded box (zeros included) is a linear system of
-    size 4(s+2)^2 x 4s^2.  Its null space, computed by SVD with singular
-    values thresholded at 1e-10 of the largest, is returned as an
-    orthonormal list of states.  An empty list means no such eigenstate
-    exists; the eigenvalue must have unit modulus (within 1e-10) and
+    Every move flips the parity of m + n, so a box state psi = psi0 + psi1,
+    with psi0 on the cells where m + n is odd and psi1 on the even ones,
+    solves step(psi) = eigenvalue * psi exactly when three things hold:
+    step(psi0) vanishes outside the box, psi1 = step(psi0) / eigenvalue,
+    and step(step(psi0)) = eigenvalue^2 * psi0 on the box padded by one
+    site.  The search solves for psi0 alone: 4 * floor(s^2 / 2) unknowns
+    and 4 * (floor(s^2 / 2) + 4s + 4) rows, the padded ring's even cells
+    and the padded box's odd ones: 272 x 128 at s = 8, where the whole
+    box's equation is 400 x 256.  Its null space, computed by SVD with
+    singular values thresholded at 1e-10 of the largest, gives the
+    orthonormal states (psi0 + psi1) / sqrt(2).  The
+    system depends on eigenvalue^2 only, so -eigenvalue has the same psi0
+    and its states are the parity flips psi0 - psi1.  An empty list means
+    no such eigenstate exists; a 1 x 1 box has no odd cell, so it never
+    holds one.  The eigenvalue must have unit modulus (within 1e-10) and
     ``box_size`` must be a positive integer.  The step commutes with
     translations, so ``state.translate(offset)`` gives the eigenstates of
     a box anywhere else.
@@ -130,20 +153,39 @@ def find_local_stationary_states(
     if s < 1:
         raise ValueError("box_size must be at least 1")
 
-    # column b: the step of basis state b of the box, minus eigenvalue times it
-    basis = np.eye(4 * s * s, dtype=complex).reshape(-1, 4, s, s)
-    image = _step_box(basis, coin)
-    image[..., 1:-1, 1:-1] -= eigenvalue * basis
-    del basis  # free it before the SVD, the memory peak
+    # padded cell (i, j) is box cell (i - 1, j - 1), of the same parity
+    odd = np.indices((s + 2, s + 2)).sum(axis=0) % 2 == 1
+    ring = ~odd
+    ring[1:-1, 1:-1] = False
+    cells = np.flatnonzero(odd[1:-1, 1:-1])
+    if not cells.size:
+        return StationaryStateSet(eigenvalue, (), largest_null=0.0, smallest_kept=1.0)
+    # column (c, k): a unit amplitude in component c of odd cell k
+    c, k = np.arange(4)[:, None], np.arange(cells.size)
+    basis = np.zeros((4, cells.size, 4, s * s), dtype=complex)
+    basis[c, k, c, cells] = 1
+    basis = basis.reshape(-1, 4, s, s)
+    once = _step_box(basis, coin)
+    inside = once[..., 1:-1, 1:-1]
+    twice = _step_box(inside, coin)
+    twice[..., 1:-1, 1:-1] -= eigenvalue**2 * basis
+    system = np.concatenate([once[..., ring], twice[..., odd]], axis=-1)
 
-    # image[b] is column b of the eigen-equation, so its transpose is a view
-    _, singular, vh = np.linalg.svd(image.reshape(len(image), -1).T, full_matrices=False)
-    null_rows = vh[singular <= NULL_SPACE_RTOL * singular[0]]
+    # system[b] is column b of the eigen-equation, so its transpose is a view
+    _, singular, vh = np.linalg.svd(system.reshape(len(basis), -1).T, full_matrices=False)
+    ratio = singular / singular[0]
+    null = ratio <= NULL_SPACE_RTOL
+    boxes = vh[null].conj() @ (basis + inside / eigenvalue).reshape(len(basis), -1)
     states = tuple(
         PositionState._from_sites(*_grid_sites(0, 0, box))
-        for box in null_rows.conj().reshape(-1, 4, s, s)
+        for box in boxes.reshape(-1, 4, s, s) / np.sqrt(2.0)
     )
-    return StationaryStateSet(eigenvalue=eigenvalue, states=states)
+    return StationaryStateSet(
+        eigenvalue,
+        states,
+        largest_null=float(ratio[null].max(initial=0.0)),
+        smallest_kept=float(ratio[~null].min(initial=1.0)),
+    )
 
 
 @dataclass(frozen=True)

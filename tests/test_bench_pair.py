@@ -85,7 +85,7 @@ def test_assemble_summarises_each_side_and_the_pairs_won():
 
 
 def test_pairs_1_to_4_run_each_side_first_from_each_directory():
-    schedule = [bench_pair.schedule(i) for i in range(1, 9)]
+    schedule = [bench_pair.schedule(i, 0) for i in range(1, 9)]
     assert schedule[:4] == [
         (("parent", "change"), {"parent": "a", "change": "b"}),
         (("change", "parent"), {"parent": "a", "change": "b"}),
@@ -93,6 +93,11 @@ def test_pairs_1_to_4_run_each_side_first_from_each_directory():
         (("change", "parent"), {"parent": "b", "change": "a"}),
     ]
     assert schedule[4:] == schedule[:4]
+    # after an odd number of invocations, pair 1 starts with the change
+    later = [bench_pair.schedule(i, 1) for i in range(1, 5)]
+    assert [order for order, _ in later] == [order for order, _ in schedule[1:5]]
+    assert [dirs for _, dirs in later] == [dirs for _, dirs in schedule[:4]]
+    assert bench_pair.schedule(1, 2) == schedule[0]
 
 
 def test_an_entry_gives_back_its_pairs():
@@ -141,12 +146,17 @@ def test_a_warm_up_run_before_pair_1_is_left_out_of_the_pairs(monkeypatch, tmp_p
     assert entry["metrics"]["op_p50_s"]["parent"]["runs"] == [0.08, 0.09]
     assert entry["metrics"]["op_p50_s"]["change"]["runs"] == [0.03, 0.04]
     assert entry["metrics"]["work_per_s"]["parent"]["runs"] == [100.0, 110.0]
-    # a second invocation adds its warm-up and its pairs to the same entry
-    outputs += [_stdout(0.02, 999.0)] + [_stdout(0.05, 100.0)] * 4
+    # a second invocation adds its warm-up and its pairs to the same entry, and
+    # starts with the change: its warm-up and pair 1's first run are the change's
+    outputs += [_stdout(0.02, 999.0), _stdout(0.06, 90.0), _stdout(0.05, 100.0),
+                _stdout(0.05, 100.0), _stdout(0.06, 90.0)]
     assert bench_pair.main(argv) == 0
+    assert calls[5:] == ["b", "b", "a", "a", "b"]
     entry = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["revival"]
-    assert [w["op_p50_s"] for w in entry["warmup"]] == [0.01, 0.02]
+    assert entry["warmup"][1] == {"seed": 3, "side": "change", "op_p50_s": 0.02}
+    assert entry["first"] == ["parent", "change", "change", "parent"]
     assert entry["metrics"]["op_p50_s"]["parent"]["runs"] == [0.08, 0.09, 0.05, 0.05]
+    assert entry["metrics"]["op_p50_s"]["change"]["runs"] == [0.03, 0.04, 0.06, 0.06]
 
 
 def test_a_failed_check_is_printed_kept_and_fails_the_run(monkeypatch, tmp_path, capsys):

@@ -19,14 +19,17 @@ from qwalk2d import (
     grover_stationary_states,
     inner_product,
     make_basis_state,
+    random_coin,
     return_probability_series,
     revival_state,
     step,
     superpose,
 )
 from qwalk2d.cli import main
+from qwalk2d.dynamics import _step_box
+from qwalk2d.revival import NULL_SPACE_RTOL
 
-from conftest import amp_diff
+from conftest import amp_diff, permutation_coin
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -166,6 +169,108 @@ def test_search_respects_box_origin():
     assert len(found.states) == 1
     plus, _ = grover_stationary_states()
     assert fidelity(found.states[0].translate((3, -1)), plus.translate((3, -1))) >= 1 - 1e-10
+
+
+# ------------------------------------ the whole-box search, as an oracle
+
+
+def whole_box_null_rows(coin, eigenvalue, s):
+    """Null rows of the whole box's eigen-equation, as one (4, s, s) box each.
+
+    The search solved this 4(s+2)^2 x 4s^2 system before it was reduced to
+    one parity class: one column per basis state of the box, stepped by
+    ``_step_box``, and the same cutoff.
+    """
+    basis = np.eye(4 * s * s, dtype=complex).reshape(-1, 4, s, s)
+    image = _step_box(basis, coin)
+    image[..., 1:-1, 1:-1] -= eigenvalue * basis
+    _, singular, vh = np.linalg.svd(image.reshape(len(image), -1).T, full_matrices=False)
+    return vh[singular <= NULL_SPACE_RTOL * singular[0]].conj()
+
+
+def box_rows(found, s):
+    """The states of ``found`` as rows of flattened (4, s, s) boxes."""
+    rows = np.zeros((len(found), 4, s, s), dtype=complex)
+    for row, state in zip(rows, found.states):
+        for (m, n), amps in state.to_dict().items():
+            row[:, m, n] = amps
+    return rows.reshape(len(found), 4 * s * s)
+
+
+def projector(rows):
+    return rows.T @ rows.conj()
+
+
+def parity_flip(rows, s):
+    """``rows`` with the amplitudes of the cells where m + n is even negated."""
+    sign = np.where(np.indices((s, s)).sum(axis=0) % 2 == 0, -1, 1)
+    return (rows.reshape(-1, 4, s, s) * sign).reshape(rows.shape)
+
+
+R, L, U, D = range(4)
+_PHASES = np.diag(np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, 4)))
+ORACLE_COINS = {
+    "grover": builtin_coin("grover"),
+    "grover_conjugated": CoinOperator(_PHASES @ builtin_coin("grover").matrix @ _PHASES.conj()),
+    "grover_phased": CoinOperator(np.exp(0.7j) * builtin_coin("grover").matrix),
+    "swap": builtin_coin("swap"),
+    "dft4": builtin_coin("dft4"),
+    "hadamard4": builtin_coin("hadamard4"),
+    "haar": random_coin(3),
+    "four_cycle": permutation_coin((U, D, L, R)),  # R->U->L->D->R
+    "swap_phased": permutation_coin((L, R, D, U), (1, 1, np.exp(2j * np.pi / 3), 1)),
+}
+
+
+def search_values(coin):
+    """The coin's constant eigenvalues, then those of +-1, +-i that are not among them."""
+    values = list(detect_constant_eigenvalues(coin, 64, 1e-8).values())
+    return values + [v for v in (1, -1, 1j, -1j) if all(abs(v - c) > 1e-8 for c in values)]
+
+
+@pytest.mark.parametrize("name", ORACLE_COINS)
+def test_search_spans_the_whole_box_null_space(name):
+    coin = ORACLE_COINS[name]
+    for eigenvalue in search_values(coin):
+        for s in range(1, 9):
+            found = find_local_stationary_states(coin, eigenvalue, s)
+            expected = whole_box_null_rows(coin, eigenvalue, s)
+            assert len(found) == len(expected), (eigenvalue, s)
+            rows = box_rows(found, s)
+            assert np.abs(projector(rows) - projector(expected)).max() <= 1e-12, (eigenvalue, s)
+
+
+@pytest.mark.parametrize("name", ["grover_conjugated", "swap", "four_cycle", "swap_phased"])
+def test_the_negated_eigenvalue_spans_the_parity_flipped_states(name):
+    coin, s = ORACLE_COINS[name], 6
+    for eigenvalue in detect_constant_eigenvalues(coin, 64, 1e-8).values():
+        plus = box_rows(find_local_stationary_states(coin, eigenvalue, s), s)
+        minus = box_rows(find_local_stationary_states(coin, -eigenvalue, s), s)
+        assert len(plus) == len(minus) > 0
+        assert np.abs(projector(parity_flip(plus, s)) - projector(minus)).max() <= 1e-12
+
+
+def test_box_12_counts():
+    assert len(find_local_stationary_states(builtin_coin("grover"), 1, 12)) == 11**2
+    assert len(find_local_stationary_states(builtin_coin("swap"), 1, 12)) == 2 * 12 * 11
+
+
+def test_search_reports_its_margins_around_the_cutoff():
+    found = find_local_stationary_states(builtin_coin("grover"), 1, 8)
+    assert len(found) == 49
+    assert 0 < found.largest_null <= 1e-14
+    assert found.smallest_kept >= 0.2
+    # no state exists, and the nearest direction closes in as the box grows
+    dft4 = builtin_coin("dft4")
+    kept = []
+    for s in (2, 4, 6, 8):
+        found = find_local_stationary_states(dft4, 1, s)
+        assert len(found) == 0 and found.largest_null == 0.0
+        kept.append(found.smallest_kept)
+    assert kept == sorted(kept, reverse=True) and len(set(kept)) == 4 and kept[-1] < 0.05
+    # a 1 x 1 box has no odd cell, so both sides are empty
+    found = find_local_stationary_states(dft4, 1, 1)
+    assert (found.largest_null, found.smallest_kept) == (0.0, 1.0)
 
 
 # ------------------------------------------------------------ period scan

@@ -68,6 +68,37 @@ def test_a_differing_file_reports_how_far_its_numbers_moved(tmp_path, capsys):
     ]
 
 
+def test_differing_stationary_files_report_both_counts_and_the_span_distance(tmp_path, capsys):
+    command = "stationary --coin grover --box 3 --out {out}"
+    base, head = tmp_path / "base", tmp_path / "head"
+    for tree in (base, head):
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    revival = head / "src" / "qwalk2d" / "revival.py"
+    text = revival.read_text()
+    loop = "for box in boxes.reshape(-1, 4, s, s) / np.sqrt(2.0)"
+    assert text.count(loop) == 1
+    # the same span in another order: every file moves, the span does not
+    revival.write_text(text.replace(loop, loop.replace("boxes.", "boxes[::-1].")))
+    assert same_outputs.compare(base, head, [command]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"DIFF  qwalk2d {command}  (files)"
+    assert lines[1] == "  files differ: " + ", ".join(f"stationary_0{i}.csv" for i in range(4))
+    counts, moved = lines[-1].rsplit(" ", 1)
+    assert counts == "  stationary_*.csv: 4 states against 4, span projectors differ by at most"
+    assert float(moved) <= 1e-15
+    # one state fewer: the span lost a direction
+    revival.write_text(text.replace(loop, loop.replace("boxes.", "boxes[1:].")))
+    assert same_outputs.compare(base, head, [command]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"DIFF  qwalk2d {command}  (stdout, files)"
+    assert lines[1] == "  files differ: " + ", ".join(f"stationary_0{i}.csv" for i in range(4))
+    span = [line for line in lines if line.startswith("  stationary_*.csv: ")]
+    counts, moved = span[0].rsplit(" ", 1)
+    assert counts == "  stationary_*.csv: 4 states against 3, span projectors differ by at most"
+    assert float(moved) > 0.01
+
+
 def test_describe_reads_a_csv_by_column_and_names_a_change_of_shape():
     describe = same_outputs.describe
     base = b"t,prob\n0,1\n1,0.25\n"

@@ -9,15 +9,20 @@ Run from the repository root:
 The base commit and HEAD are each exported once with ``git archive``, into
 the temporary directories ``a`` and ``b``, so each side runs
 ``perfbench/run.py --trace 0`` from its committed files only, one process at
-a time, for the run length that BENCHMARK.json sets.  Pair i (counted from 1)
-runs the base first when i is odd and HEAD first when i is even.  The two
+a time, for the run length that BENCHMARK.json sets.  The side that runs
+first alternates from pair to pair, and pair 1 of an invocation starts with
+the base when the record held an even number of invocations before it (the
+first one, say) and with HEAD when it held an odd number, so a held-out seed
+appended as the second invocation starts with HEAD.  The two
 directories swap names every second pair, so pairs 1-4 run each side first
 from each directory once, and a cost that follows the directory (the spread
 workload's peak RSS moved by about 2.6% with it) cancels in the median.
 Before pair 1 the side that pair 1 runs first runs once more, from the same
 directory, and that run is left out of the pairs: the first spectrum run of
-an invocation used to read the fastest of the record.  Its ``op_p50_s`` is
-kept under ``warmup``, one entry per invocation.
+an invocation used to read the fastest of the record, and pair 1's first run
+still read fast after the warm-up, which is why the side that starts
+alternates too.  Its ``op_p50_s`` is kept under ``warmup``, one entry per
+invocation, so the record's ``warmup`` list counts its invocations.
 Units, directions and bounds of the metrics are read from BENCHMARK.json
 too.  If ``--out`` exists and records the same two commits, the new pairs
 are added to its workload entry, so a held-out seed extends the same
@@ -151,9 +156,13 @@ def pairs_of(entry: dict) -> list[dict]:
     ]
 
 
-def schedule(i: int) -> tuple[tuple[str, str], dict]:
-    """Pair i's (from 1) run order and the export directory of each side."""
-    order = SIDES if i % 2 else SIDES[::-1]
+def schedule(i: int, invocation: int) -> tuple[tuple[str, str], dict]:
+    """Pair i's (from 1) run order and the export directory of each side.
+
+    ``invocation`` counts the invocations the record held before this one;
+    an odd count starts pair 1 with the change.
+    """
+    order = SIDES if (i + invocation) % 2 else SIDES[::-1]
     return order, dict(zip(SIDES, DIRS if (i - 1) // 2 % 2 == 0 else DIRS[::-1]))
 
 
@@ -224,14 +233,15 @@ def main(argv=None) -> int:
         placed = dict(zip(SIDES, DIRS))
         for side in SIDES:
             export(commits[side], workdir / placed[side])
-        first = schedule(1)[0][0]
+        invocation = len(warmups)
+        first = schedule(1, invocation)[0][0]
         warmup, _ = _run(workdir / placed[first], args, spec["run_seconds"])
         warmups.append({"seed": args.seed, "side": first,
                         "op_p50_s": warmup["metrics"]["op_p50_s"]["value"]})
         print(f"warm-up: {first} op_p50_s={warmups[-1]['op_p50_s']:.6g} "
               f"failed={warmup['failed']}, left out of the pairs", flush=True)
         for i in range(1, args.pairs + 1):
-            order, dirs = schedule(i)
+            order, dirs = schedule(i, invocation)
             if dirs != placed:
                 os.rename(workdir / "a", workdir / "swap")
                 os.rename(workdir / "b", workdir / "a")
@@ -256,9 +266,10 @@ def main(argv=None) -> int:
                          f"--seconds {spec['run_seconds']} --trace 0")
     record["method"] = (
         "Written by tools/bench_pair.py. Each commit was exported once with git archive, "
-        "into directories a and b, and ran one process at a time. Pair i (from 1) ran the "
-        "parent first when i is odd and the change first when i is even ('first' lists the "
-        "side that ran first). The two directories swapped names every second pair, so "
+        "into directories a and b, and ran one process at a time. The side that ran first alternated from pair to pair, "
+        "and pair 1 of the k-th invocation (from 1) appended to this record ran the parent "
+        "first when k is odd and the change first when k is even ('first' lists the side "
+        "that ran first). The two directories swapped names every second pair, so "
         "pairs 1-4 ran each side first from each directory once ('dirs' lists each side's "
         "directory per pair). Values are the host-normalised metrics that perfbench/run.py "
         "prints; median and quartiles are over the pairs (numpy percentile, linear), and "

@@ -17,7 +17,10 @@ file (JSON or CSV) that differs it prints how far it moved: the largest
 |a - b| over the numbers at equal places and the path of that number (a CSV
 is read as its columns, so ``re_R[11]`` is row 11 of column ``re_R``,
 counting data rows from 0), or where the keys, lengths, types or other
-values differ.
+values differ.  When a command's ``stationary_*.csv`` files differ, it also
+prints how many states each side wrote and the largest entry of the
+difference between the projectors onto the two spans: a search that finds
+another basis of the same null space moves the files but not the span.
 """
 
 import argparse
@@ -26,6 +29,7 @@ import difflib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -183,6 +187,34 @@ def describe(name: str, base: bytes, head: bytes) -> str:
     return f"  {name}: max |diff| {diff:.2g} at {path}"
 
 
+_STATIONARY = re.compile(r"stationary_\d+\.csv")
+
+
+def describe_span(base: dict, head: dict) -> str:
+    """One line on the ``stationary_*.csv`` files of two runs: both counts and how far the span moved.
+
+    The states are read as orthonormal, as the search writes them, so the
+    span's projector is the sum of their outer products.
+    """
+    tables = [[np.loadtxt(io.BytesIO(files[name]), delimiter=",", skiprows=1, ndmin=2)
+               for name in sorted(files) if _STATIONARY.fullmatch(name)]
+              for files in (base, head)]
+    sites = sorted({(int(m), int(n)) for side in tables for table in side
+                    for m, n in table[:, :2]})
+    index = {site: i for i, site in enumerate(sites)}
+    projectors = []
+    for side in tables:
+        rows = np.zeros((len(side), len(sites), 4), dtype=complex)
+        for row, table in zip(rows, side):
+            row[[index[int(m), int(n)] for m, n in table[:, :2]]] = \
+                table[:, 2::2] + 1j * table[:, 3::2]
+        rows = rows.reshape(len(side), -1)
+        projectors.append(rows.T @ rows.conj())
+    moved = float(np.abs(projectors[0] - projectors[1]).max(initial=0.0))
+    return (f"  stationary_*.csv: {len(tables[0])} states against {len(tables[1])}, "
+            f"span projectors differ by at most {moved:.2g}")
+
+
 def compare(base: Path, head: Path, commands: list[str]) -> int:
     """Run ``commands`` on the trees ``base`` and ``head``; 1 if any differs, else 0."""
     differ = False
@@ -202,6 +234,8 @@ def compare(base: Path, head: Path, commands: list[str]) -> int:
                 for n in names:
                     if n in base_files and n in head_files:
                         print(describe(n, base_files[n], head_files[n]))
+                if any(_STATIONARY.fullmatch(n) for n in names):
+                    print(describe_span(base_files, head_files))
             for key in ("stdout", "stderr"):
                 if key in parts:
                     sys.stdout.writelines(difflib.unified_diff(
