@@ -137,11 +137,11 @@ def find_local_stationary_states(
     and the padded box's odd ones: 272 x 128 at s = 8, where the whole
     box's equation is 400 x 256.  Its null space, computed by SVD with
     singular values thresholded at 1e-10 of the largest, gives the
-    orthonormal states (psi0 + psi1) / sqrt(2).  The
-    system depends on eigenvalue^2 only, so -eigenvalue has the same psi0
-    and its states are the parity flips psi0 - psi1.  An empty list means
-    no such eigenstate exists; a 1 x 1 box has no odd cell, so it never
-    holds one.  The eigenvalue must have unit modulus (within 1e-10) and
+    orthonormal states (psi0 + psi1) / sqrt(2).  The system depends on
+    eigenvalue^2 only, so -eigenvalue has the same psi0 and its states are
+    the parity flips psi0 - psi1.  An empty list means no such eigenstate
+    exists; a 1 x 1 box has no odd cell, so it never holds one.  The
+    eigenvalue must have unit modulus (within 1e-10) and
     ``box_size`` must be a positive integer.  The step commutes with
     translations, so ``state.translate(offset)`` gives the eigenstates of
     a box anywhere else.

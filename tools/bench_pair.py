@@ -10,10 +10,10 @@ The base commit and HEAD are each exported once with ``git archive``, into
 the temporary directories ``a`` and ``b``, so each side runs
 ``perfbench/run.py --trace 0`` from its committed files only, one process at
 a time, for the run length that BENCHMARK.json sets.  The side that runs
-first alternates from pair to pair, and pair 1 of an invocation starts with
-the base when the record held an even number of invocations before it (the
-first one, say) and with HEAD when it held an odd number, so a held-out seed
-appended as the second invocation starts with HEAD.  The two
+first alternates from pair to pair.  Pair 1 of an invocation starts with the
+base when the record held an even number of invocations before it, and with
+HEAD when it held an odd number, so a held-out seed appended as the second
+invocation starts with HEAD.  The two
 directories swap names every second pair, so pairs 1-4 run each side first
 from each directory once, and a cost that follows the directory (the spread
 workload's peak RSS moved by about 2.6% with it) cancels in the median.
@@ -266,10 +266,11 @@ def main(argv=None) -> int:
                          f"--seconds {spec['run_seconds']} --trace 0")
     record["method"] = (
         "Written by tools/bench_pair.py. Each commit was exported once with git archive, "
-        "into directories a and b, and ran one process at a time. The side that ran first alternated from pair to pair, "
-        "and pair 1 of the k-th invocation (from 1) appended to this record ran the parent "
-        "first when k is odd and the change first when k is even ('first' lists the side "
-        "that ran first). The two directories swapped names every second pair, so "
+        "into directories a and b, and ran one process at a time. The side that ran first "
+        "alternated from pair to pair, and pair 1 of the k-th invocation (from 1) appended "
+        "to this record ran the parent first when k is odd and the change first when k is "
+        "even ('first' lists the side that ran first). The two directories swapped names "
+        "every second pair, so "
         "pairs 1-4 ran each side first from each directory once ('dirs' lists each side's "
         "directory per pair). Values are the host-normalised metrics that perfbench/run.py "
         "prints; median and quartiles are over the pairs (numpy percentile, linear), and "
