@@ -153,7 +153,8 @@ def test_a_warm_up_run_before_pair_1_is_left_out_of_the_pairs(monkeypatch, tmp_p
     assert bench_pair.main(argv) == 0
     assert calls[5:] == ["b", "b", "a", "a", "b"]
     entry = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["revival"]
-    assert entry["warmup"][1] == {"seed": 3, "side": "change", "op_p50_s": 0.02}
+    assert entry["warmup"] == [{"seed": 3, "side": "parent", "op_p50_s": 0.01},
+                               {"seed": 3, "side": "change", "op_p50_s": 0.02}]
     assert entry["first"] == ["parent", "change", "change", "parent"]
     assert entry["metrics"]["op_p50_s"]["parent"]["runs"] == [0.08, 0.09, 0.05, 0.05]
     assert entry["metrics"]["op_p50_s"]["change"]["runs"] == [0.03, 0.04, 0.06, 0.06]
