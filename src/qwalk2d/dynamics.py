@@ -374,23 +374,14 @@ def _norm(windows: list[_Window]) -> float:
     return math.sqrt(sum(np.vdot(g, g).real for window in windows for g in window.grid))
 
 
-def _step_count(steps) -> int:
-    """``steps`` as an int; ValueError unless it is a nonnegative integer."""
-    steps = _integer(steps, "step count")
-    if steps < 0:
-        raise ValueError("step count must be nonnegative")
-    return steps
-
-
 def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
     """Yield the walked state, as windows, after 0, 1, ..., ``steps`` steps.
 
-    Raises ValueError for a step count that is negative or not an integer
-    when iteration starts.  ``_step_windows`` is called through the module
+    ``steps`` is an int of at least 0 that the caller has checked; nothing
+    here raises for it.  ``_step_windows`` is called through the module
     global, so a wrapper installed on ``dynamics._step_windows`` sees every
     step.
     """
-    steps = _step_count(steps)
     windows = _to_windows(state, steps)
     yield windows
     for _ in range(steps):
@@ -399,8 +390,11 @@ def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
 
 
 def evolve(state: PositionState, coin: CoinOperator, steps: int) -> PositionState:
-    """Apply ``steps`` walk steps (0 returns an equal state)."""
-    for windows in _trajectory(state, coin, steps):
+    """Apply ``steps`` walk steps (0 returns an equal state).
+
+    Raises ValueError for a step count that is not an integer of at least 0.
+    """
+    for windows in _trajectory(state, coin, _integer(steps, "step count", 0)):
         pass
     return _to_state(windows)
 
@@ -457,14 +451,15 @@ def evolve_momentum(
     most 7 (fast FFT lengths).  Resulting amplitudes below 1e-14 are
     dropped.
 
-    Raises ValueError for a step count that is negative or not an integer,
-    a box size that is odd, nonpositive or not an integer, a box too small
-    for the wavefront, or a result with a site past the coordinate limit.
+    Raises ValueError for a step count that is not an integer of at least
+    0, a box size that is not an even integer of at least 2, a box too
+    small for the wavefront, or a result with a site past the coordinate
+    limit.
     """
-    steps = _step_count(steps)
-    size = _integer(lattice_size, "lattice_size")
-    if size <= 0 or size % 2:
-        raise ValueError("lattice_size must be a positive even integer")
+    steps = _integer(steps, "step count", 0)
+    size = _integer(lattice_size, "lattice_size", 2)
+    if size % 2:
+        raise ValueError(f"lattice_size must be even, got {size}")
     if state.n_sites == 0:
         return state
 

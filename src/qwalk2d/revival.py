@@ -149,9 +149,7 @@ def find_local_stationary_states(
     eigenvalue = complex(eigenvalue)
     if not abs(abs(eigenvalue) - 1.0) <= 1e-10:
         raise ValueError(f"eigenvalue must have unit modulus, got |{eigenvalue}|")
-    s = _integer(box_size, "box_size")
-    if s < 1:
-        raise ValueError("box_size must be at least 1")
+    s = _integer(box_size, "box_size", 1)
 
     # padded cell (i, j) is box cell (i - 1, j - 1), of the same parity
     odd = np.indices((s + 2, s + 2)).sum(axis=0) % 2 == 1
@@ -237,9 +235,7 @@ def detect_period(initial: PositionState, coin: CoinOperator, t_max: int) -> Rev
     more than 1e-9.
     """
     _require_normalized(initial, "detect_period")
-    t_max = _integer(t_max, "t_max")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    t_max = _integer(t_max, "t_max", 1)
     # the origin rides along as the last row: one window read per step
     m, n, amps = initial._sites()
     points = np.vstack([np.column_stack((m, n)), _ORIGIN])
@@ -279,10 +275,12 @@ def return_probability_series(
     ``initial`` must be normalized and may be supported anywhere.  For a
     walker started at the origin, a coin with momentum-independent
     eigenvalues keeps this series bounded away from zero (the walker stays
-    partially trapped); generic coins let it decay toward zero.
+    partially trapped); generic coins let it decay toward zero.  Raises
+    ValueError for an unnormalized start or a ``t_max`` that is not an
+    integer of at least 0.
     """
     _require_normalized(initial, "return_probability_series")
     return [
         _probability(_amplitudes(windows, _ORIGIN)[0])
-        for windows in _trajectory(initial, coin, t_max)
+        for windows in _trajectory(initial, coin, _integer(t_max, "t_max", 0))
     ]

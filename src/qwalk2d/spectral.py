@@ -220,9 +220,7 @@ def char_poly_profile(coin: CoinOperator, grid_size: int) -> CharPolyProfile:
     e3 = det C * conj(e1) and e4 = det C exactly.  Raises ValueError for a
     grid size that is not an integer of at least 8.
     """
-    grid_size = _integer(grid_size, "grid_size")
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
+    grid_size = _integer(grid_size, "grid_size", 8)
     momenta = 2 * np.pi * np.arange(grid_size) / grid_size
     symbol = _momentum_symbol(coin, momenta, momenta)
     det_coin = complex(np.linalg.det(coin.matrix))

@@ -76,14 +76,18 @@ def _check_coords(m, n):
         raise ValueError(f"lattice coordinates must satisfy |m|, |n| < {_COORD_LIMIT}")
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is an integer (numpy's included, bool not)."""
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is an integer (numpy's included,
+    bool not) of at least ``minimum``, when one is given."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
 
 
 class PositionState:

@@ -351,6 +351,12 @@ def test_bad_lambda_syntax_is_a_config_error(tmp_path, capsys):
                    "--out", tmp_path) == 2
 
 
+def test_lambda_fields_that_are_not_numbers_are_a_config_error(tmp_path, capsys):
+    assert run_cli("stationary", "--coin", "grover", "--lambda", "a,b", "--box", 2,
+                   "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "qwalk2d: error: expected 're,im', got 'a,b'\n"
+
+
 def test_missing_subcommand_is_a_config_error(capsys):
     assert run_cli() == 2
 

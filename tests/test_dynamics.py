@@ -116,6 +116,24 @@ def test_load_coin_rejects_malformed_file(tmp_path):
         load_coin(path)
 
 
+def test_coin_operator_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(CoinError, match=r"^coin matrix must be 4x4, got shape \(3, 3\)$"):
+        CoinOperator(np.eye(3))
+
+
+def test_load_coin_rejects_unreadable_paths_short_rows_and_non_numbers(tmp_path):
+    with pytest.raises(CoinError, match="^cannot read coin file .*missing.coin: "):
+        load_coin(tmp_path / "missing.coin")
+    path = tmp_path / "bad.coin"
+    rows = ["1 0 0 0 0 0 0 0", "0 0 1 0 0 0 0 0", "0 0 0 0 1 0 0 0", "0 0 0 0 0 0 1 0"]
+    path.write_text("\n".join([rows[0], "0 0 1 0 0 0 0", *rows[2:]]) + "\n")
+    with pytest.raises(CoinError, match="bad.coin: row 2 has 7 values, expected 8$"):
+        load_coin(path)
+    path.write_text("\n".join([*rows[:3], "0 0 0 0 0 0 one 0"]) + "\n")
+    with pytest.raises(CoinError, match="bad.coin: row 4: could not convert string to float: 'one'$"):
+        load_coin(path)
+
+
 def test_identity_coin_file_is_valid(tmp_path):
     path = tmp_path / "identity.coin"
     _write_coin_file(path, np.eye(4))
@@ -210,6 +228,12 @@ def test_evolve_zero_steps_is_identity(rng):
 def test_evolve_rejects_negative_step_count():
     with pytest.raises(ValueError):
         evolve(revival_state(), builtin_coin("grover"), -1)
+
+
+def test_a_walk_whose_amplitudes_all_underflow_is_the_empty_state():
+    # the smallest subnormal, halved by every Grover entry, rounds to 0
+    tiny = PositionState({(0, 0): (5e-324, 0, 0, 0)})
+    assert evolve(tiny, builtin_coin("grover"), 1) == PositionState({})
 
 
 def test_non_integer_step_counts_are_rejected():
@@ -553,6 +577,11 @@ def test_momentum_rejects_odd_box():
         evolve_momentum(revival_state(), builtin_coin("grover"), 3, 33)
 
 
+def test_momentum_returns_the_empty_state():
+    empty = PositionState({})
+    assert evolve_momentum(empty, builtin_coin("grover"), 3, 16) is empty
+
+
 def test_momentum_rejects_support_exceeding_box():
     wide = superpose(
         [
@@ -566,7 +595,7 @@ def test_momentum_rejects_support_exceeding_box():
 
 def test_evolve_momentum_validation():
     start = revival_state()
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="step count must be at least 0"):
         evolve_momentum(start, builtin_coin("grover"), -1, 16)
     with pytest.raises(ValueError, match="even"):
         evolve_momentum(start, builtin_coin("grover"), 1, 15)

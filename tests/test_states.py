@@ -12,6 +12,7 @@ from qwalk2d import (
     PositionState,
     builtin_coin,
     char_poly_profile,
+    detect_constant_eigenvalues,
     detect_period,
     evolve,
     evolve_momentum,
@@ -19,6 +20,7 @@ from qwalk2d import (
     inner_product,
     load_state,
     make_basis_state,
+    return_probability_series,
     save_state,
     step,
     superpose,
@@ -289,6 +291,17 @@ def test_csv_load_of_an_unreadable_path_is_a_value_error(tmp_path):
             load_state(path)
 
 
+def test_csv_load_rejects_short_rows_and_non_numbers(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "m,n,re_R,im_R,re_L,im_L,re_U,im_U,re_D,im_D\n"
+    path.write_text(header + "0,0,1,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match="bad.csv:2: expected 10 fields, got 9$"):
+        load_state(path)
+    path.write_text(header + "0,x,1,0,0,0,0,0,0,0\n")
+    with pytest.raises(ValueError, match=r"bad.csv:2: invalid literal for int\(\) with base 10: 'x'$"):
+        load_state(path)
+
+
 def test_csv_load_rejects_duplicate_points(tmp_path):
     path = tmp_path / "dup.csv"
     row = "0,0," + ",".join(["1", "0"] * 4)
@@ -350,6 +363,28 @@ def test_basis_state_components_are_names_or_integer_indices():
         "key", "numpy key"])
 def test_bools_are_not_integers(call):
     with pytest.raises(ValueError, match="must be an integer, got (True|False)"):
+        call()
+
+
+# one below each minimum; ``step`` is ``evolve`` for one step, so it has no count
+@pytest.mark.parametrize("call, message", [
+    (lambda: evolve(revival_state(), builtin_coin("grover"), -1), "step count must be at least 0"),
+    (lambda: evolve_momentum(revival_state(), builtin_coin("grover"), -1, 16),
+     "step count must be at least 0"),
+    (lambda: evolve_momentum(revival_state(), builtin_coin("grover"), 1, 0),
+     "lattice_size must be at least 2"),
+    (lambda: find_local_stationary_states(builtin_coin("grover"), 1, 0),
+     "box_size must be at least 1"),
+    (lambda: detect_period(revival_state(), builtin_coin("grover"), 0), "t_max must be at least 1"),
+    (lambda: return_probability_series(revival_state(), builtin_coin("grover"), -1),
+     "t_max must be at least 0"),
+    (lambda: char_poly_profile(builtin_coin("grover"), 7), "grid_size must be at least 8"),
+    (lambda: detect_constant_eigenvalues(builtin_coin("grover"), 7),
+     "grid_size must be at least 8"),
+], ids=["steps", "momentum steps", "lattice_size", "box_size", "detect_period t_max",
+        "return_probability_series t_max", "char_poly grid_size", "constants grid_size"])
+def test_counts_and_sizes_below_their_minimum_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 

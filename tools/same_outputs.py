@@ -65,7 +65,8 @@ COMMANDS = [
     f"revival --coin grover --init {{init}} --tmax {INIT_STEPS} --out {{out}}",
     "simulate --coin nope --init revival --steps 1 --out {out}",
     "simulate --coin grover --init psi3 --steps 1 --out {out}",
-    "spectrum --coin grover --tol 0.5 --out {out}",
+    "simulate --coin grover --init revival --steps -1 --out {out}",
+    "stationary --coin grover --box 0 --out {out}",
     "stationary --coin grover --lambda nan,0 --out {out}",
     "",
     "simulate",
