@@ -130,7 +130,7 @@ def test_load_coin_rejects_unreadable_paths_short_rows_and_non_numbers(tmp_path)
     with pytest.raises(CoinError, match="bad.coin: row 2 has 7 values, expected 8$"):
         load_coin(path)
     path.write_text("\n".join([*rows[:3], "0 0 0 0 0 0 one 0"]) + "\n")
-    with pytest.raises(CoinError, match="bad.coin: row 4: could not convert string to float: 'one'$"):
+    with pytest.raises(CoinError, match="row 4: could not convert string to float: 'one'$"):
         load_coin(path)
 
 
