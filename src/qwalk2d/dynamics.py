@@ -16,8 +16,12 @@ where an (m, n) box spans (2t + 1)^2 sites, three quarters of them empty.
 ``_step_box``, the only code that applies the step, does ``C @ grid`` and
 four slice copies into a zeroed box one step larger, read off ``_MOVES``,
 the one table of the R/L/U/D moves; :mod:`qwalk2d.revival` builds its box
-eigen-equation with it too.  The walk then trims border rows and columns
-that are all zero, so a stationary or localized state keeps a small window.
+eigen-equation with it too.  A coin whose imaginary parts are all exactly
+0, as Grover's, hadamard4's and swap's are, is multiplied in real
+arithmetic: its real part times the box viewed as interleaved float64 real
+and imaginary parts, half the arithmetic of the complex product.  The walk
+then trims border rows and columns that are all zero, so a stationary or
+localized state keeps a small window.
 :class:`PositionState` stays the input and output type; states are
 converted to windows and back only at the boundaries: ``_to_windows``
 reads a state through ``PositionState._sites`` and ``_to_state`` builds one
@@ -106,7 +110,7 @@ class CoinOperator:
     stored read-only.
     """
 
-    __slots__ = ("matrix", "name")
+    __slots__ = ("matrix", "name", "_real")
 
     def __init__(self, matrix, name: str | None = None):
         matrix = np.array(matrix, dtype=complex)
@@ -122,6 +126,10 @@ class CoinOperator:
         matrix.flags.writeable = False
         self.matrix = matrix
         self.name = name
+        # a coin whose imaginary parts are all exactly 0 (Grover, hadamard4,
+        # swap) walks in real arithmetic: ``_step_box`` multiplies this float
+        # matrix into the amplitudes' float view
+        self._real = None if matrix.imag.any() else matrix.real.copy()
 
     def __repr__(self):
         label = self.name or "custom"
@@ -318,7 +326,13 @@ def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np
 
     Returns the box padded for one step, (..., 4, H+2, W+2) in the (m, n)
     frame and (..., 4, H+1, W+1) in the rotated frame; leading axes are a
-    batch.  The coin multiply runs over bands of 8 * (_BAND_SITES // W)
+    batch.  For a coin with no imaginary part (``CoinOperator._real``) the
+    product is a real one, ``C.real`` times each band viewed as float64,
+    (..., 4, rows, 2W), and viewed back as complex; a band whose last axis
+    is strided is copied first, as the view needs unit stride there.  Each
+    output entry is then a real 4-term dot product per real and imaginary
+    part, not a complex one, so it can differ from the complex product by
+    rounding.  The coin multiply runs over bands of 8 * (_BAND_SITES // W)
     rows: 16,392 to 32,768 sites, up to 2 MiB of complex128 per product, in
     a box at most 4,096 sites wide, and 8 rows in a wider one.  Each band
     is shifted into place, read off ``_MOVES``, as soon as it is done.  A
@@ -329,10 +343,18 @@ def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np
     *batch, _, height, width = grid.shape
     pad = 1 if rotated else 2
     out = np.zeros((*batch, 4, height + pad, width + pad), dtype=complex)
+    matrix = coin.matrix if coin._real is None else coin._real
     band = 8 * max(1, _BAND_SITES // width)
     for top in range(0, height, band):
-        rows = coin.matrix @ grid[..., top : top + band, :].reshape(*batch, 4, -1)
-        rows = rows.reshape(*batch, 4, -1, width)
+        block = grid[..., top : top + band, :]
+        if coin._real is not None:
+            # the float view interleaves real and imaginary parts along the
+            # last axis, which must have unit stride for it
+            if block.strides[-1] != block.itemsize:
+                block = block.copy()
+            block = block.view(float)
+        rows = matrix @ block.reshape(*batch, 4, -1)
+        rows = rows.reshape(block.shape).view(complex)
         for c, (i, j) in enumerate(_MOVES[rotated]):
             out[..., c, top + i : top + i + rows.shape[-2], j : j + width] = rows[..., c, :, :]
     return out

@@ -15,8 +15,12 @@ maps the box's odd-parity cells onto even ones and back; the search solves
 for the odd half of an eigenstate alone, one column per component of an
 odd cell, and the step gives the even half.  That system involves the
 eigenvalue squared only, so +lambda and -lambda share it, the same parity
-structure that pairs the constant eigenvalues.  It searches the box
-[0, s)^2; :meth:`PositionState.translate` moves what it finds.
+structure that pairs the constant eigenvalues.  For a real coin (Grover,
+swap) at lambda in {+-1, +-i} the system is real, and the search runs a
+real SVD on it, about half the cost of the complex one: the odd halves
+come out real, so the states at +-1 are real and those at +-i have an
+imaginary even half.  It searches the box [0, s)^2;
+:meth:`PositionState.translate` moves what it finds.
 
 The return probability after t steps is the probability of finding the
 walker at the lattice origin (0, 0), coin components traced out, for any
@@ -137,9 +141,12 @@ def find_local_stationary_states(
     and the padded box's odd ones: 272 x 128 at s = 8, where the whole
     box's equation is 400 x 256.  Its null space, computed by SVD with
     singular values thresholded at 1e-10 of the largest, gives the
-    orthonormal states (psi0 + psi1) / sqrt(2).  The system depends on
-    eigenvalue^2 only, so -eigenvalue has the same psi0 and its states are
-    the parity flips psi0 - psi1.  An empty list means no such eigenstate
+    orthonormal states (psi0 + psi1) / sqrt(2).  When the system's
+    imaginary parts are all exactly 0, as for a real coin and a real
+    eigenvalue^2, the SVD is a real one, so psi0 is real: the states at
+    eigenvalue +-1 are real, and at +-i psi1 is imaginary.  The system
+    depends on eigenvalue^2 only, so -eigenvalue has the same psi0 and its
+    states are the parity flips psi0 - psi1.  An empty list means no such eigenstate
     exists; a 1 x 1 box has no odd cell, so it never holds one.  The
     eigenvalue must have unit modulus (within 1e-10) and
     ``box_size`` must be a positive integer.  The step commutes with
@@ -170,7 +177,11 @@ def find_local_stationary_states(
     system = np.concatenate([once[..., ring], twice[..., odd]], axis=-1)
 
     # system[b] is column b of the eigen-equation, so its transpose is a view
-    _, singular, vh = np.linalg.svd(system.reshape(len(basis), -1).T, full_matrices=False)
+    system = system.reshape(len(basis), -1).T
+    if not system.imag.any():
+        # a real coin with a real eigenvalue^2: the same matrix, a real SVD
+        system = system.real
+    _, singular, vh = np.linalg.svd(system, full_matrices=False)
     ratio = singular / singular[0]
     null = ratio <= NULL_SPACE_RTOL
     boxes = vh[null].conj() @ (basis + inside / eigenvalue).reshape(len(basis), -1)

@@ -21,6 +21,7 @@ coefficients e1 and e2 of p over momentum grids.
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class CharPolyProfile:
     e2: np.ndarray
     det_coin: complex
 
-    @property
+    @cached_property
     def e2_variance(self) -> float:
         return _complex_variance(self.e2)
 

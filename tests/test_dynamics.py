@@ -468,6 +468,53 @@ def test_banded_coin_multiply_rounds_like_one_product(monkeypatch):
     assert banded == default
 
 
+def _reference_step_box(grid, matrix, rotated):
+    """One step of ``grid``: an einsum coin product, then each component moved per ``_MOVES``."""
+    *batch, _, height, width = grid.shape
+    pad = 1 if rotated else 2
+    flipped = np.einsum("ij,...jhw->...ihw", matrix, grid)
+    out = np.zeros((*batch, 4, height + pad, width + pad), dtype=complex)
+    for c, (i, j) in enumerate(dynamics._MOVES[rotated]):
+        out[..., c, i : i + height, j : j + width] = flipped[..., c, :, :]
+    return out
+
+
+def _unit_disk(rng, shape):
+    return rng.uniform(0, 1, shape) * np.exp(2j * np.pi * rng.uniform(0, 1, shape))
+
+
+# the last coin differs from Grover by a phase of 1e-13 on one column, about
+# 5e-14 in an imaginary part: exact zeros, not a tolerance, make a coin real
+KERNEL_COINS = {
+    "grover": builtin_coin("grover"),
+    "hadamard4": builtin_coin("hadamard4"),
+    "swap": builtin_coin("swap"),
+    "grover_tilted": CoinOperator(GROVER_ENTRIES @ np.diag([np.exp(1e-13j), 1, 1, 1])),
+}
+_BIG = _unit_disk(np.random.default_rng(5), (4, 9, 12))
+KERNEL_BOXES = {
+    "one_column": _BIG[:, :, 3:4],
+    "one_row": _BIG[:, 2:3, :],
+    "column_trimmed": _BIG[:, 1:8, 2:9],
+    "strided_last_axis": _BIG.transpose(0, 2, 1),
+    "batched": _unit_disk(np.random.default_rng(6), (3, 4, 5, 6)),
+    # 8-row bands in a box wider than 4,096 columns: three of them, the last short
+    "wide": _unit_disk(np.random.default_rng(7), (4, 20, 4100)),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("box", KERNEL_BOXES)
+@pytest.mark.parametrize("name", KERNEL_COINS)
+def test_step_box_matches_an_einsum_reference_on_every_box_shape(name, box, rotated):
+    coin, grid = KERNEL_COINS[name], KERNEL_BOXES[box]
+    assert (coin._real is None) == (name == "grover_tilted")
+    out = dynamics._step_box(grid, coin, rotated)
+    expected = _reference_step_box(grid, coin.matrix, rotated)
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= 1e-15
+
+
 def test_walks_stop_at_the_coordinate_limit():
     identity = CoinOperator(np.eye(4))
     start = make_basis_state((2**30 - 3, 0), "R")

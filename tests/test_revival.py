@@ -257,6 +257,27 @@ def test_search_spans_the_whole_box_null_space(name):
             assert np.abs(image).max() <= 1e-12, (eigenvalue, s)
 
 
+@pytest.mark.parametrize("name", ["grover", "swap", "four_cycle"])
+def test_a_real_coin_gives_real_states_at_plus_minus_1_and_imaginary_even_halves_at_i(name):
+    # a real coin with a real eigenvalue^2 has a real system: its null vectors,
+    # the odd halves, are real, and the even halves are a step divided by lambda
+    coin, s = ORACLE_COINS[name], 6
+    odd = (np.indices((s, s)).sum(axis=0) % 2 == 1).ravel()
+    counts = []
+    for eigenvalue in (1, -1, 1j, -1j):
+        found = find_local_stationary_states(coin, eigenvalue, s)
+        rows = box_rows(found, s).reshape(len(found), 4, s * s)
+        assert len(found) == whole_box_null_count(coin, eigenvalue, s)
+        if eigenvalue.imag:
+            assert not rows[..., odd].imag.any() and not rows[..., ~odd].real.any()
+        else:
+            assert not rows.imag.any()
+        counts.append(len(found))
+    # each coin has states at +-1; only the 4-cycle coin has them at +-i too
+    assert counts[0] == counts[1] > 0
+    assert (counts[2] == counts[3] > 0) == (name == "four_cycle")
+
+
 @pytest.mark.parametrize("name", ["grover_conjugated", "swap", "four_cycle", "swap_phased"])
 def test_the_negated_eigenvalue_spans_the_parity_flipped_states(name):
     coin, s = ORACLE_COINS[name], 6
@@ -316,6 +337,21 @@ def test_localized_basis_state_never_fully_revives():
     assert report.period is None
     assert report.phase is None
     assert max(report.fidelity_series) < 1 - 1e-6
+
+
+def test_a_fidelity_short_of_1_by_more_than_1e_10_is_no_revival():
+    # weight 1.6e-9 on a far site keeps the best fidelity 1.4e-9 below 1
+    far = make_basis_state((40, 0), "R")
+    start = superpose([(math.sqrt(1 - 4e-5**2), revival_state()), (4e-5, far)])
+    report = detect_period(start, builtin_coin("grover"), 10)
+    assert report.period is None and report.phase is None
+    assert 1 - 1e-8 < max(report.fidelity_series) < 1 - 1e-10
+
+
+def test_the_walks_norm_check_reads_the_norm_not_its_square():
+    # off by 7e-10, within the 1e-9 tolerance; the squared norm, off by 1.4e-9, is not
+    start = superpose([(1 + 7e-10, revival_state())])
+    assert detect_period(start, builtin_coin("grover"), 4).period == 2
 
 
 def test_any_mix_of_the_two_eigenstates_revives_with_period_two(rng):

@@ -407,6 +407,17 @@ def test_charpoly_json_fields():
     assert payload["grid_size"] == 16
 
 
+def test_a_spectrum_command_computes_the_e2_variance_once(monkeypatch, tmp_path):
+    calls = []
+    variance = spectral._complex_variance
+    monkeypatch.setattr(spectral, "_complex_variance", lambda v: calls.append(1) or variance(v))
+    assert main(["spectrum", "--coin", "hadamard4", "--grid", "16", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["e2_variance"] == variance(char_poly_profile(builtin_coin("hadamard4"), 16).e2)
+    assert payload["c_zero"] is False
+    assert len(calls) == 1
+
+
 def test_spectrum_report_json_fields():
     payload = detect_constant_eigenvalues(builtin_coin("grover"), 16, 1e-8).to_json_dict()
     assert payload.keys() == {
