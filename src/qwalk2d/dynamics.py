@@ -37,7 +37,17 @@ compact cluster walks rotated, and sites strung along an axis keep a thin
 and the revival scans in :mod:`qwalk2d.revival` all consume the windows it
 yields, so each of them walks the lattice once, and :func:`step` is
 :func:`evolve` for one step.  There is no separate coin or shift entry: a
-step with the identity coin is the bare shift.
+step with the identity coin is the bare shift.  A caller that reads only a
+few sites passes them to the loop, which cuts every window after each step
+to the cells that can still reach one of them in the steps left, their
+backward light cone (``_crop``): in the rotated frame that is an exact
+rectangle of rows and columns, in the (m, n) frame a square around it.  The
+return-probability scan reads the origin alone, so over T steps it steps
+about T^3/12 cells instead of T^3/3, with the same amplitudes at the origin
+to the bit.  Only a walk in real arithmetic is cut: complex BLAS rounds the
+last (sites mod 4) columns of a product by another kernel, and a cut box
+puts other cells there.  :func:`evolve` and the period scan read the whole
+state and walk it whole.
 
 The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
@@ -321,6 +331,34 @@ def _trim(m0: int, n0: int, grid: np.ndarray, rotated: bool) -> list[_Window]:
     return [_Window(m0, n0, grid, rotated)]
 
 
+def _crop(windows: list[_Window], points: np.ndarray, reach: int) -> list[_Window]:
+    """The windows cut to the cells within L1 distance ``reach`` of ``points``.
+
+    A rotated window keeps the rows |u - u_p| <= ``reach`` and the columns
+    |v - v_p| <= ``reach`` over the range of the points' u = m + n and
+    v = m - n: for one point, exactly the cells in reach.  An (m, n) window
+    keeps |m - m_p|, |n - n_p| <= ``reach``, the square around that
+    diamond.  A window with no cell left is dropped.  A cut window is a view;
+    ``_step_box`` copies it as it needs.
+    """
+    m, n = points[:, 0], points[:, 1]
+    axes = {False: (m, n), True: (m + n, m - n)}
+    cropped = []
+    for m0, n0, grid, rotated in windows:
+        # box index i sits at start + spacing * i along either axis
+        spacing = 2 if rotated else 1
+        starts = (m0 + n0, m0 - n0) if rotated else (m0, n0)
+        (top, bottom), (left, right) = (
+            (max(0, -((start + reach - int(coord.min())) // spacing)),
+             min(size, (int(coord.max()) + reach - start) // spacing + 1))
+            for coord, start, size in zip(axes[rotated], starts, grid.shape[1:])
+        )
+        if top < bottom and left < right:
+            m0, n0 = _sites(m0, n0, top, left, rotated)
+            cropped.append(_Window(m0, n0, grid[:, top:bottom, left:right], rotated))
+    return cropped
+
+
 def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np.ndarray:
     """One walk step of the box ``grid`` (..., 4, H, W): ``C @ grid``, then the shift.
 
@@ -396,18 +434,40 @@ def _norm(windows: list[_Window]) -> float:
     return math.sqrt(sum(np.vdot(g, g).real for window in windows for g in window.grid))
 
 
-def _trajectory(state: PositionState, coin: CoinOperator, steps: int):
+def _trajectory(state: PositionState, coin: CoinOperator, steps: int, points=None):
     """Yield the walked state, as windows, after 0, 1, ..., ``steps`` steps.
 
     ``steps`` is an int of at least 0 that the caller has checked; nothing
     here raises for it.  ``_step_windows`` is called through the module
     global, so a wrapper installed on ``dynamics._step_windows`` sees every
     step.
+
+    ``points``, an (N, 2) int64 array of (m, n) rows, are the only sites
+    the caller reads, if it reads no other.  The windows yielded after t
+    steps are then cut to the cells within L1 distance ``steps - t`` of
+    them (``_crop``), and only those are stepped: a cell farther away
+    cannot reach a point in the steps left.  Every kept cell is computed by
+    the same operations as in the whole walk, so the amplitudes at the
+    points are the same to the bit, as long as the product rounds a cell
+    alike wherever it sits in the box.  The real product of a coin with no
+    imaginary part does; the complex one does not, as complex BLAS rounds
+    the last (sites mod 4) columns of a product by another kernel, and a
+    cut box puts other cells there.  So a coin with an imaginary part walks
+    whole.  A cut walk never sees the sites far away, so it is cut only
+    when no site can reach the coordinate limit, max(|m|, |n|) + ``steps``
+    < 2^30 over the start's support; otherwise it walks whole and raises
+    where :func:`evolve` does.
     """
+    if points is not None:
+        m, n, _ = state._sites()
+        if coin._real is None or max(np.abs(m).max(), np.abs(n).max()) + steps >= _COORD_LIMIT:
+            points = None
     windows = _to_windows(state, steps)
-    yield windows
-    for _ in range(steps):
-        windows = _step_windows(windows, coin)
+    for t in range(steps + 1):
+        if t:
+            windows = _step_windows(windows, coin)
+        if points is not None:
+            windows = _crop(windows, points, steps - t)
         yield windows
 
 

@@ -27,7 +27,11 @@ walker at the lattice origin (0, 0), coin components traced out, for any
 normalized initial state; a walker that starts away from the origin
 starts with return probability 0.  :func:`detect_period` records it
 alongside the fidelity in a single pass over
-:func:`qwalk2d.dynamics._trajectory`.
+:func:`qwalk2d.dynamics._trajectory`.  :func:`return_probability_series`
+reads the origin alone, so it walks only the origin's backward light cone:
+after t of T steps, the cells within L1 distance T - t of the origin, about
+T^3/12 cells in all against the T^3/3 of the whole walk.  Its series is
+the period scan's to the bit.
 
 A revival period of at most 2 holds when the point spectrum is a single
 {+lambda, -lambda} pair, as it is for Grover: a state in those eigenspaces
@@ -286,12 +290,21 @@ def return_probability_series(
     ``initial`` must be normalized and may be supported anywhere.  For a
     walker started at the origin, a coin with momentum-independent
     eigenvalues keeps this series bounded away from zero (the walker stays
-    partially trapped); generic coins let it decay toward zero.  Raises
-    ValueError for an unnormalized start or a ``t_max`` that is not an
-    integer of at least 0.
+    partially trapped); generic coins let it decay toward zero.
+
+    Only the origin is read, so after t steps the walk keeps only the cells
+    that can still reach it, those within L1 distance ``t_max - t``: about
+    ``t_max**3 / 12`` cells are stepped in all, a quarter of the whole
+    walk, and the series is the whole walk's to the bit.  A coin with an
+    imaginary part walks whole, since complex BLAS rounds a cell by where
+    it sits in the box.  Raises ValueError for an unnormalized start, a
+    ``t_max`` that is not an integer of at least 0, and a walk that moves
+    a site past the coordinate limit, at exactly the inputs where
+    :func:`qwalk2d.evolve` raises: a start that could reach the limit in
+    ``t_max`` steps walks whole.
     """
     _require_normalized(initial, "return_probability_series")
     return [
         _probability(_amplitudes(windows, _ORIGIN)[0])
-        for windows in _trajectory(initial, coin, _integer(t_max, "t_max", 0))
+        for windows in _trajectory(initial, coin, _integer(t_max, "t_max", 0), _ORIGIN)
     ]

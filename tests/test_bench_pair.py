@@ -44,10 +44,15 @@ def _pairs():
     return [
         {"seed": seed, "first": first,
          "dirs": {"parent": where, "change": "b" if where == "a" else "a"},
-         "parent": bench_pair.parse_result(_stdout(*parent)),
-         "change": bench_pair.parse_result(_stdout(*change))}
+         "parent": bench_pair.parse_result(_stdout(*parent)) | _by_kind(parent[0]),
+         "change": bench_pair.parse_result(_stdout(*change)) | _by_kind(change[0])}
         for seed, first, where, parent, change in canned
     ]
+
+
+def _by_kind(op):
+    """Raw per-kind medians of a run, as its run record keeps them: one kind moves."""
+    return {"op_p50_s_by_kind": {"revival_cli": 0.0291, "return_probability_series": op}}
 
 
 def test_parse_result_reads_the_last_line():
@@ -82,6 +87,10 @@ def test_assemble_summarises_each_side_and_the_pairs_won():
     assert held_out == {"parent_median": 0.1, "parent_iqr": 0.0, "change_median": 0.02,
                         "change_better_in_pairs": "1/1"}
     assert entry["by_seed"]["3"]["op_p50_s"]["change_better_in_pairs"] == "2/3"
+    by_kind = entry["op_p50_s_by_kind"]
+    assert [k["return_probability_series"] for k in by_kind["change"]] == [0.03, 0.04, 0.07,
+                                                                            0.02]
+    assert [k["revival_cli"] for k in by_kind["parent"]] == [0.0291] * 4
 
 
 def test_pairs_1_to_4_run_each_side_first_from_each_directory():
@@ -108,6 +117,10 @@ def test_an_entry_gives_back_its_pairs():
     assert [p["dirs"] for p in bench_pair.pairs_of(entry)] == [p["dirs"] for p in pairs]
     assert bench_pair.assemble(bench_pair.pairs_of(entry), METRICS)["problems"] == \
         entry["problems"]
+    # the per-kind medians come back as they went in, unrounded
+    for side in bench_pair.SIDES:
+        assert [p[side]["op_p50_s_by_kind"] for p in bench_pair.pairs_of(entry)] == \
+            [p[side]["op_p50_s_by_kind"] for p in pairs]
     # a further seed appends to the same entry
     more = bench_pair.assemble(bench_pair.pairs_of(entry) + pairs[:1], METRICS)
     assert more["seeds"] == [3, 3, 3, 29, 3]
@@ -118,7 +131,8 @@ def _canned_main(monkeypatch, tmp_path, outputs):
     """bench_pair.main's arguments for 2 revival pairs, its runs taken from ``outputs``.
 
     Each call of ``_run`` pops the first output and is recorded as the name
-    of its export directory.
+    of its export directory; its run record's raw median of the one kind
+    ``k`` is the number of that call, from 1.
     """
     calls = []
     host = {key: 1 for key in bench_pair.HOST_KEYS} | {"src_sha256": "0" * 64}
@@ -128,7 +142,8 @@ def _canned_main(monkeypatch, tmp_path, outputs):
     monkeypatch.setattr(bench_pair, "_git", lambda *args: "abc")
     monkeypatch.setattr(bench_pair, "export", lambda commit, dest: dest.mkdir())
     monkeypatch.setattr(bench_pair, "_run", lambda checkout, args, seconds: (
-        calls.append(checkout.name) or bench_pair.parse_result(outputs.pop(0)), host))
+        calls.append(checkout.name) or bench_pair.parse_result(outputs.pop(0)),
+        host | {"raw": {"op_p50_s_by_kind": {"k": len(calls)}}}))
     argv = ["--base", "HEAD~1", "--workload", "revival", "--seed", "3", "--pairs", "2",
             "--out", str(tmp_path / "BENCH.json")]
     return argv, calls
@@ -146,6 +161,9 @@ def test_a_warm_up_run_before_pair_1_is_left_out_of_the_pairs(monkeypatch, tmp_p
     assert entry["metrics"]["op_p50_s"]["parent"]["runs"] == [0.08, 0.09]
     assert entry["metrics"]["op_p50_s"]["change"]["runs"] == [0.03, 0.04]
     assert entry["metrics"]["work_per_s"]["parent"]["runs"] == [100.0, 110.0]
+    # each side keeps its own runs' per-kind medians; the warm-up's (call 1) is left out
+    assert entry["op_p50_s_by_kind"] == {"parent": [{"k": 2}, {"k": 5}],
+                                         "change": [{"k": 3}, {"k": 4}]}
     # a second invocation adds its warm-up and its pairs to the same entry, and
     # starts with the change: its warm-up and pair 1's first run are the change's
     outputs += [_stdout(0.02, 999.0), _stdout(0.06, 90.0), _stdout(0.05, 100.0),

@@ -26,8 +26,9 @@ from qwalk2d import (
     step,
     superpose,
 )
+from qwalk2d import dynamics
 from qwalk2d.cli import main
-from qwalk2d.dynamics import _step_box
+from qwalk2d.dynamics import _amplitudes, _step_box, _to_windows, _trajectory
 from qwalk2d.revival import NULL_SPACE_RTOL
 
 from conftest import amp_diff, permutation_coin
@@ -311,6 +312,25 @@ def test_search_reports_its_margins_around_the_cutoff():
     assert (found.largest_null, found.smallest_kept) == (0.0, 1.0)
 
 
+def _grover_tilted(eps):
+    """Grover with its R column turned by the phase e^{i eps}."""
+    return CoinOperator(builtin_coin("grover").matrix @ np.diag([np.exp(1j * eps), 1, 1, 1]))
+
+
+def test_a_direction_1_6e_9_of_sigma_max_from_null_is_kept():
+    # the 1e-10 cutoff keeps it; a cutoff of 1e-6 would count it as 1 of 4 states
+    found = find_local_stationary_states(_grover_tilted(1e-8), 1, 3)
+    assert len(found) == 0
+    assert 1.5e-9 < found.smallest_kept < 1.7e-9
+
+
+def test_a_direction_4_1e_13_of_sigma_max_from_null_is_a_state():
+    # the 1e-10 cutoff counts it; a cutoff of 1e-14 would keep all 4 out
+    found = find_local_stationary_states(_grover_tilted(1e-12), 1, 3)
+    assert len(found) == 4
+    assert 4e-13 < found.largest_null < 4.2e-13
+
+
 # ------------------------------------------------------------ period scan
 
 
@@ -430,3 +450,84 @@ def test_return_probability_odd_steps_are_parity_blocked():
     series = return_probability_series(origin_symmetric_state(), builtin_coin("grover"), 9)
     assert all(series[t] == 0.0 for t in range(1, 10, 2))
     assert all(series[t] > 0.0 for t in range(2, 10, 2))
+
+
+def _line(sites):
+    """A normalized random state on ``sites`` sites along m."""
+    rng = np.random.default_rng(11)
+    line = PositionState({(m, 3): rng.normal(size=4) + 1j * rng.normal(size=4)
+                          for m in range(-sites // 2, sites - sites // 2)})
+    return superpose([(1 / line.norm(), line)])
+
+
+def _crop_cases():
+    grover, hadamard4 = builtin_coin("grover"), builtin_coin("hadamard4")
+    # two clusters more than 2 * 40 + 1 sites apart walk in windows of their own
+    clusters = PositionState({(0, 0): (0.5, 0.5j, 0, 0), (1, 1): (0, 0, 0.5, 0),
+                              (90, -4): (0, 0, 0, 0.5j), (91, -3): (0, -0.5, 0, 0)})
+    clusters = superpose([(1 / clusters.norm(), clusters)])
+    return {
+        "grover from origin_symmetric": (origin_symmetric_state(), grover, 60),
+        "haar, the complex path": (origin_symmetric_state(), random_coin(5), 60),
+        "hadamard4 from (30, -7), partly cut": (make_basis_state((30, -7), "U"), hadamard4, 50),
+        "beyond reach": (make_basis_state((80, 0), "L"), grover, 60),
+        "two windows": (clusters, hadamard4, 40),
+        "a line in the (m, n) frame": (_line(60), grover, 20),
+    }
+
+
+@pytest.mark.parametrize("case", _crop_cases())
+def test_the_scan_walking_the_origins_light_cone_equals_the_whole_walk(case):
+    start, coin, t_max = _crop_cases()[case]
+    series = return_probability_series(start, coin, t_max)
+    assert series == list(detect_period(start, coin, t_max).return_probability)
+    assert return_probability_series(start, coin, 0) == series[:1]
+
+
+def test_the_line_case_walks_in_the_m_n_frame_and_the_clusters_in_two_windows():
+    cases = _crop_cases()
+    line, _, steps = cases["a line in the (m, n) frame"]
+    assert [w.rotated for w in _to_windows(line, steps)] == [False]
+    clusters, _, steps = cases["two windows"]
+    assert len(_to_windows(clusters, steps)) == 2
+
+
+@pytest.mark.parametrize("points", [[[7, -4]], [[7, -4], [-2, 5]], [[0, 9], [0, -9]]])
+def test_a_walk_cut_to_the_light_cone_of_any_points_reads_them_as_the_whole_walk(points):
+    # the scan reads the origin only; the cut takes any points, one or several
+    start, coin, steps = make_basis_state((3, 1), "R"), builtin_coin("hadamard4"), 30
+    points = np.array(points)
+    cut = [_amplitudes(w, points) for w in _trajectory(start, coin, steps, points)]
+    whole = [_amplitudes(w, points) for w in _trajectory(start, coin, steps)]
+    assert len(cut) == len(whole) == steps + 1
+    assert all((a == b).all() for a, b in zip(cut, whole))
+    assert any(a.any() for a in cut)
+
+
+def _cells_stepped(monkeypatch, scan, *args):
+    """The cells that ``scan(*args)`` steps, summed over its steps."""
+    cells = []
+    original = dynamics._step_windows
+
+    def counting_step(windows, coin):
+        cells.append(sum(w.grid.size for w in windows))
+        return original(windows, coin)
+
+    monkeypatch.setattr(dynamics, "_step_windows", counting_step)
+    scan(*args)
+    monkeypatch.undo()
+    return sum(cells)
+
+
+def test_the_scan_steps_about_a_quarter_of_the_whole_walks_cells(monkeypatch):
+    grover = builtin_coin("grover")
+    start = origin_symmetric_state()
+    cut = _cells_stepped(monkeypatch, return_probability_series, start, grover, 60)
+    whole = _cells_stepped(monkeypatch, detect_period, start, grover, 60)
+    assert 0 < cut <= 0.3 * whole  # 0.269 measured
+    far = make_basis_state((80, 0), "L")
+    assert _cells_stepped(monkeypatch, return_probability_series, far, grover, 60) == 0
+    # a coin with an imaginary part walks whole: complex BLAS rounds a cell
+    # by where it sits in the box, and a cut box moves it
+    haar = random_coin(5)
+    assert _cells_stepped(monkeypatch, return_probability_series, start, haar, 60) == whole

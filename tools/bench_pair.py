@@ -23,6 +23,10 @@ an invocation used to read the fastest of the record, and pair 1's first run
 still read fast after the warm-up, which is why the side that starts
 alternates too.  Its ``op_p50_s`` is kept under ``warmup``, one entry per
 invocation, so the record's ``warmup`` list counts its invocations.
+Each run's raw per-kind medians (``raw.op_p50_s_by_kind`` of its run record,
+in seconds of wall time, not host-normalised) are kept under
+``op_p50_s_by_kind``, per side and pair, so a record shows which of a
+workload's operations moved.
 Units, directions and bounds of the metrics are read from BENCHMARK.json
 too.  If ``--out`` exists and records the same two commits, the new pairs
 are added to its workload entry, so a held-out seed extends the same
@@ -120,7 +124,8 @@ def assemble(pairs: list[dict], metrics: dict) -> dict:
     """A workload entry of a BENCH_*.json record from its pairs.
 
     ``pairs`` holds dicts with the keys ``seed``, ``first``, ``dirs`` (each
-    side's export directory) and one parsed result per side; ``metrics``
+    side's export directory) and one parsed result per side, with the
+    run's raw per-kind medians under ``op_p50_s_by_kind``; ``metrics``
     maps each end-to-end metric to its ``unit``, ``better`` and ``bound``.
     """
     return {
@@ -130,6 +135,8 @@ def assemble(pairs: list[dict], metrics: dict) -> dict:
         "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
         "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
         "problems": {side: [p[side]["problems"] for p in pairs] for side in SIDES},
+        "op_p50_s_by_kind": {side: [p[side]["op_p50_s_by_kind"] for p in pairs]
+                             for side in SIDES},
         "metrics": {name: _compare(pairs, name, spec) for name, spec in metrics.items()},
         "by_seed": {
             str(seed): _seed_summary([p for p in pairs if p["seed"] == seed], metrics)
@@ -147,6 +154,7 @@ def pairs_of(entry: dict) -> list[dict]:
                 "attempted": entry["attempted"][side][i],
                 "failed": entry["failed"][side][i],
                 "problems": entry["problems"][side][i],
+                "op_p50_s_by_kind": entry["op_p50_s_by_kind"][side][i],
                 "metrics": {name: {"value": metric[side]["runs"][i]}
                             for name, metric in entry["metrics"].items()},
             }
@@ -249,8 +257,9 @@ def main(argv=None) -> int:
                 placed = dirs
             pair = {"seed": args.seed, "first": order[0], "dirs": dirs}
             for side in order:
-                pair[side], run_record = _run(workdir / dirs[side], args,
-                                              spec["run_seconds"])
+                result, run_record = _run(workdir / dirs[side], args, spec["run_seconds"])
+                pair[side] = result | {
+                    "op_p50_s_by_kind": run_record["raw"]["op_p50_s_by_kind"]}
                 for problem in pair[side]["problems"]:
                     print(f"pair {i}: {side} FAILED {problem}", flush=True)
                 record.setdefault(side, {"commit": commits[side],
@@ -275,7 +284,9 @@ def main(argv=None) -> int:
         "directory per pair). Values are the host-normalised metrics that perfbench/run.py "
         "prints; median and quartiles are over the pairs (numpy percentile, linear), and "
         "by_seed repeats them for each seed. A pair is won when the change is strictly better. "
-        "'problems' lists, per side and pair, the failed output checks that run printed. "
+        "'problems' lists, per side and pair, the failed output checks that run printed, "
+        "and 'op_p50_s_by_kind' the raw median seconds of each kind of operation that run "
+        "timed (raw.op_p50_s_by_kind of its run record, not host-normalised). "
         "Before pair 1 of each invocation, the side that pair 1 ran first ran once more from "
         "its directory; that run is left out of the pairs, and 'warmup' keeps its seed, "
         "side and op_p50_s, one entry per invocation.")
