@@ -7,23 +7,24 @@ unitary, so norms are preserved up to rounding, and it raises ValueError
 rather than move a site past the coordinate limit of the state encoding.
 
 The step runs on dense windows: a window is an origin (m0, n0) and a
-component-major (4, H, W) array over a box of sites, in one of two frames.
-The (m, n) frame indexes the box by m and n.  The rotated frame indexes it
-by u = m + n and v = m - n in steps of 2, so it holds the sites of one
-parity class of u, and every step moves the whole class to the other one:
-after t steps from one site, the (t + 1)^2 sites it can reach fill the box,
-where an (m, n) box spans (2t + 1)^2 sites, three quarters of them empty.
-``_step_box``, the only code that applies the step, does ``C @ grid`` and
-four slice copies into a zeroed box one step larger, read off ``_MOVES``,
-the one table of the R/L/U/D moves; :mod:`qwalk2d.revival` builds its box
-eigen-equation with it too.  A coin whose imaginary parts are all exactly
-0, as Grover's, hadamard4's and swap's are, is multiplied in real
-arithmetic: its real part times the box viewed as interleaved float64 real
-and imaginary parts, half the arithmetic of the complex product.  The walk
-then trims border rows and columns that are all zero, so a stationary or
+(4, 2, H, W) float64 array, each component's real and imaginary planes
+over a box of sites, in one of two frames.  The (m, n) frame indexes the
+box by m and n.  The rotated frame indexes it by u = m + n and v = m - n in
+steps of 2, so it holds the sites of one parity class of u, and every step
+moves the whole class to the other one: after t steps from one site, the
+(t + 1)^2 sites it can reach fill the box, where an (m, n) box spans
+(2t + 1)^2 sites, three quarters of them empty.
+``_step_box``, the only code that applies the step, does one real product
+for every coin, its 8x8 plane matrix times the box's 8 planes, and four
+slice copies into a zeroed box one step larger, read off ``_MOVES``, the
+one table of the R/L/U/D moves; :mod:`qwalk2d.revival` builds its box
+eigen-equation with it too.  No product is one column wide, as BLAS's gemv
+path rounds a cell apart: every box keeps at least two columns.  The walk
+trims border rows and columns that are all zero, so a stationary or
 localized state keeps a small window.
 :class:`PositionState` stays the input and output type; states are
-converted to windows and back only at the boundaries: ``_to_windows``
+converted to windows and back only at the boundaries, the only places
+complex arrays are built: ``_to_windows``
 reads a state through ``PositionState._sites`` and ``_to_state`` builds one
 through ``PositionState._from_sites``, which checks it.  Before a walk of t
 steps the support is split, along m, n, u and v, at every gap wider than
@@ -43,11 +44,9 @@ to the cells that can still reach one of them in the steps left, their
 backward light cone (``_crop``): in the rotated frame that is an exact
 rectangle of rows and columns, in the (m, n) frame a square around it.  The
 return-probability scan reads the origin alone, so over T steps it steps
-about T^3/12 cells instead of T^3/3, with the same amplitudes at the origin
-to the bit.  Only a walk in real arithmetic is cut: complex BLAS rounds the
-last (sites mod 4) columns of a product by another kernel, and a cut box
-puts other cells there.  :func:`evolve` and the period scan read the whole
-state and walk it whole.
+about T^3/12 cells instead of T^3/3, for every coin, with the same
+amplitudes at the origin to the bit (see ``_step_box``).  :func:`evolve`
+and the period scan read the whole state and walk it whole.
 
 The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
@@ -104,7 +103,7 @@ BUILTIN_COIN_NAMES = tuple(_BUILTIN_COINS)
 
 # a band of the coin multiply in the window step is 8 * (_BAND_SITES // width)
 # rows of either frame's box, at least 8: up to 8 * _BAND_SITES = 32,768
-# sites, 2 MiB of complex128 per product
+# sites, 2 MiB of float64 planes per product
 _BAND_SITES = 4096
 
 
@@ -120,7 +119,7 @@ class CoinOperator:
     stored read-only.
     """
 
-    __slots__ = ("matrix", "name", "_real")
+    __slots__ = ("matrix", "name", "_planes")
 
     def __init__(self, matrix, name: str | None = None):
         matrix = np.array(matrix, dtype=complex)
@@ -136,10 +135,10 @@ class CoinOperator:
         matrix.flags.writeable = False
         self.matrix = matrix
         self.name = name
-        # a coin whose imaginary parts are all exactly 0 (Grover, hadamard4,
-        # swap) walks in real arithmetic: ``_step_box`` multiplies this float
-        # matrix into the amplitudes' float view
-        self._real = None if matrix.imag.any() else matrix.real.copy()
+        # C = A + iB as the real 8x8 matrix [[A, -B], [B, A]] on the (component,
+        # part) rows of a window, so ``_step_box`` runs one real product per coin
+        a, b = matrix.real, matrix.imag
+        self._planes = np.array([[a, -b], [b, a]]).transpose(2, 0, 3, 1).reshape(8, 8)
 
     def __repr__(self):
         label = self.name or "custom"
@@ -204,7 +203,7 @@ class _Window(NamedTuple):
 
     m0: int
     n0: int
-    grid: np.ndarray  # (4, H, W) complex, component-major
+    grid: np.ndarray  # (4, 2, H, W) float64: component, then real and imaginary plane
     rotated: bool
 
 
@@ -244,10 +243,20 @@ def _groups(m, n, gap):
             yield group
 
 
+def _planes(z: np.ndarray) -> np.ndarray:
+    """The complex box ``z`` (..., 4, H, W) as a (..., 4, 2, H, W) float64 view."""
+    return np.moveaxis(z[..., None].view(float), -1, -3)
+
+
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """The planes (..., 4, 2, H, W) as a complex box (..., 4, H, W), part for part."""
+    return np.moveaxis(planes, -3, -1).copy().view(complex)[..., 0]
+
+
 def _box(i, j, amps):
-    """The origin-free box (4, H, W) holding ``amps`` at indices (i, j) >= 0."""
-    grid = np.zeros((4, int(i.max()) + 1, int(j.max()) + 1), dtype=complex)
-    grid[:, i, j] = amps.T
+    """The origin-free box (4, 2, H, W), 2 columns wide or more, of ``amps`` at (i, j) >= 0."""
+    grid = np.zeros((4, 2, int(i.max()) + 1, max(int(j.max()) + 1, 2)))
+    grid[..., i, j] = np.moveaxis(amps.view(float).reshape(-1, 4, 2), 0, -1)
     return grid
 
 
@@ -283,15 +292,15 @@ def _to_windows(state: PositionState, steps: int) -> list[_Window]:
 def _grid_sites(m0, n0, grid, rotated=False):
     """Coordinates m, n and amplitudes of the occupied sites of a window's box.
 
-    The sites come in box order; zero components come out as +0.
+    ``grid`` is (4, 2, H, W), a complex box through ``_planes``.  The sites
+    come in box order; zero components come out as +0 as a whole entry.
     ``PositionState._from_sites`` takes the three arrays as they are.
     """
-    width = grid.shape[2]
-    flat = grid.reshape(4, -1).T
-    keep = np.flatnonzero(flat.any(axis=1))
-    amps = flat[keep]
+    i, j = np.nonzero(grid.any(axis=(0, 1)))
+    # (4, 2, sites) -> (sites, 8) rows of (re, im) pairs, viewed as complex
+    amps = grid[..., i, j].reshape(8, -1).T.copy().view(complex)
     amps[amps == 0] = 0
-    return (*_sites(m0, n0, keep // width, keep % width, rotated), amps)
+    return (*_sites(m0, n0, i, j, rotated), amps)
 
 
 def _to_state(windows: list[_Window]) -> PositionState:
@@ -306,28 +315,31 @@ def _to_state(windows: list[_Window]) -> PositionState:
 def _trim(m0: int, n0: int, grid: np.ndarray, rotated: bool) -> list[_Window]:
     """The window at (m0, n0) cut to the bounding box of its occupied cells.
 
-    Returns a list of one window, or of none if no amplitude is left.
-    Raises ValueError if an occupied site lies past the coordinate limit.
+    Returns a list of one window, at least two columns wide (``_step_box``),
+    or of none if no amplitude is left.  Raises ValueError if an occupied
+    site lies past the coordinate limit.
     """
-    top, bottom, left, right = 0, grid.shape[1], 0, grid.shape[2]
-    while top < bottom and not grid[:, top].any():
+    top, bottom, left, right = 0, grid.shape[-2], 0, grid.shape[-1]
+    while top < bottom and not grid[..., top, :].any():
         top += 1
-    while bottom > top and not grid[:, bottom - 1].any():
+    while bottom > top and not grid[..., bottom - 1, :].any():
         bottom -= 1
     if top == bottom:
         return []
-    while not grid[:, top:bottom, left].any():
+    while not grid[..., top:bottom, left].any():
         left += 1
-    while not grid[:, top:bottom, right - 1].any():
+    while not grid[..., top:bottom, right - 1].any():
         right -= 1
+    left = min(left, grid.shape[-1] - 2)
+    right = max(right, left + 2)
     m0, n0 = _sites(m0, n0, top, left, rotated)
-    grid = grid[:, top:bottom, left:right]
+    grid = grid[..., top:bottom, left:right]
     # the box's corners bound every site, a fast pre-test; when one is past
     # the limit, the occupied sites decide
     height, width = bottom - top, right - left
     rows, cols = np.array([0, 0, height - 1, height - 1]), np.array([0, width - 1] * 2)
     if np.abs(_sites(m0, n0, rows, cols, rotated)).max() >= _COORD_LIMIT:
-        _check_coords(*_sites(m0, n0, *np.nonzero(grid.any(axis=0)), rotated))
+        _check_coords(*_sites(m0, n0, *np.nonzero(grid.any(axis=(0, 1))), rotated))
     return [_Window(m0, n0, grid, rotated)]
 
 
@@ -338,8 +350,9 @@ def _crop(windows: list[_Window], points: np.ndarray, reach: int) -> list[_Windo
     |v - v_p| <= ``reach`` over the range of the points' u = m + n and
     v = m - n: for one point, exactly the cells in reach.  An (m, n) window
     keeps |m - m_p|, |n - n_p| <= ``reach``, the square around that
-    diamond.  A window with no cell left is dropped.  A cut window is a view;
-    ``_step_box`` copies it as it needs.
+    diamond, and a second column where one is left (``_step_box``).  A window
+    with no cell left is dropped.  A cut window is a view; ``_step_box``
+    copies it as it needs.
     """
     m, n = points[:, 0], points[:, 1]
     axes = {False: (m, n), True: (m + n, m - n)}
@@ -351,50 +364,40 @@ def _crop(windows: list[_Window], points: np.ndarray, reach: int) -> list[_Windo
         (top, bottom), (left, right) = (
             (max(0, -((start + reach - int(coord.min())) // spacing)),
              min(size, (int(coord.max()) + reach - start) // spacing + 1))
-            for coord, start, size in zip(axes[rotated], starts, grid.shape[1:])
+            for coord, start, size in zip(axes[rotated], starts, grid.shape[-2:])
         )
         if top < bottom and left < right:
+            left = min(left, grid.shape[-1] - 2)
+            right = max(right, left + 2)
             m0, n0 = _sites(m0, n0, top, left, rotated)
-            cropped.append(_Window(m0, n0, grid[:, top:bottom, left:right], rotated))
+            cropped.append(_Window(m0, n0, grid[..., top:bottom, left:right], rotated))
     return cropped
 
 
 def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np.ndarray:
-    """One walk step of the box ``grid`` (..., 4, H, W): ``C @ grid``, then the shift.
+    """One walk step of the box ``grid`` (..., 4, 2, H, W): the coin, then the shift.
 
-    Returns the box padded for one step, (..., 4, H+2, W+2) in the (m, n)
-    frame and (..., 4, H+1, W+1) in the rotated frame; leading axes are a
-    batch.  For a coin with no imaginary part (``CoinOperator._real``) the
-    product is a real one, ``C.real`` times each band viewed as float64,
-    (..., 4, rows, 2W), and viewed back as complex; a band whose last axis
-    is strided is copied first, as the view needs unit stride there.  Each
-    output entry is then a real 4-term dot product per real and imaginary
-    part, not a complex one, so it can differ from the complex product by
-    rounding.  The coin multiply runs over bands of 8 * (_BAND_SITES // W)
-    rows: 16,392 to 32,768 sites, up to 2 MiB of complex128 per product, in
-    a box at most 4,096 sites wide, and 8 rows in a wider one.  Each band
-    is shifted into place, read off ``_MOVES``, as soon as it is done.  A
-    band is a whole number of 8-row blocks, so every band but the last holds
-    a multiple of 8 sites and BLAS rounds each site as in one product over
-    the box.
+    Returns the box padded for one step, (..., 4, 2, H+2, W+2) in the (m, n)
+    frame and (..., 4, 2, H+1, W+1) in the rotated frame; leading axes are a
+    batch.  The coin multiply is one real product for every coin, its 8x8
+    plane matrix (``CoinOperator._planes``) times the box's 8 planes, over
+    bands of 8 * (_BAND_SITES // W) rows: 16,392 to 32,768 sites, up to
+    2 MiB per product, in a box at most 4,096 sites wide, and 8 rows in a
+    wider one.  Each band is shifted into place, read off ``_MOVES``, as
+    soon as it is done.  BLAS rounds a column of a real product alike
+    wherever it sits, unless the product is one column, which takes its gemv
+    path.  A walk's boxes are all at least two columns wide, so a cell
+    rounds as in one product over the box, cut to a light cone or not.
     """
-    *batch, _, height, width = grid.shape
+    *batch, _, _, height, width = grid.shape
     pad = 1 if rotated else 2
-    out = np.zeros((*batch, 4, height + pad, width + pad), dtype=complex)
-    matrix = coin.matrix if coin._real is None else coin._real
+    out = np.zeros((*batch, 4, 2, height + pad, width + pad))
     band = 8 * max(1, _BAND_SITES // width)
     for top in range(0, height, band):
         block = grid[..., top : top + band, :]
-        if coin._real is not None:
-            # the float view interleaves real and imaginary parts along the
-            # last axis, which must have unit stride for it
-            if block.strides[-1] != block.itemsize:
-                block = block.copy()
-            block = block.view(float)
-        rows = matrix @ block.reshape(*batch, 4, -1)
-        rows = rows.reshape(block.shape).view(complex)
+        rows = (coin._planes @ block.reshape(*batch, 8, -1)).reshape(block.shape)
         for c, (i, j) in enumerate(_MOVES[rotated]):
-            out[..., c, top + i : top + i + rows.shape[-2], j : j + width] = rows[..., c, :, :]
+            out[..., c, :, top + i : top + i + rows.shape[-2], j : j + width] = rows[..., c, :, :, :]
     return out
 
 
@@ -413,25 +416,24 @@ def _step_windows(windows: list[_Window], coin: CoinOperator) -> list[_Window]:
 
 def _amplitudes(windows: list[_Window], points: np.ndarray) -> np.ndarray:
     """The (len(points), 4) amplitudes at the (m, n) rows of ``points``."""
-    out = np.zeros((len(points), 4), dtype=complex)
+    out = np.zeros((len(points), 4, 2))
     for m0, n0, grid, rotated in windows:
-        i = points[:, 0] - m0
-        j = points[:, 1] - n0
+        i, j = (points - (m0, n0)).T
         on_class = True
         if rotated:
             # invert (i, j) -> (i + j, i - j); the other parity class is off the box
             on_class = (i + j) % 2 == 0
             i, j = (i + j) >> 1, (i - j) >> 1
-        inside = on_class & (i >= 0) & (i < grid.shape[1]) & (j >= 0) & (j < grid.shape[2])
+        inside = on_class & (i >= 0) & (i < grid.shape[-2]) & (j >= 0) & (j < grid.shape[-1])
         # boxes may overlap, but the windows' supports are disjoint
-        out[inside] += grid[:, i[inside], j[inside]].T
-    return out
+        out[inside] += np.moveaxis(grid[..., i[inside], j[inside]], -1, 0)
+    return out.view(complex)[..., 0]
 
 
 def _norm(windows: list[_Window]) -> float:
     """Euclidean norm over every window."""
-    # one BLAS dot per component plane, a view unless columns were trimmed
-    return math.sqrt(sum(np.vdot(g, g).real for window in windows for g in window.grid))
+    # one BLAS dot per component's two planes, a view unless columns were trimmed
+    return math.sqrt(sum(np.vdot(g, g) for window in windows for g in window.grid))
 
 
 def _trajectory(state: PositionState, coin: CoinOperator, steps: int, points=None):
@@ -447,20 +449,17 @@ def _trajectory(state: PositionState, coin: CoinOperator, steps: int, points=Non
     steps are then cut to the cells within L1 distance ``steps - t`` of
     them (``_crop``), and only those are stepped: a cell farther away
     cannot reach a point in the steps left.  Every kept cell is computed by
-    the same operations as in the whole walk, so the amplitudes at the
-    points are the same to the bit, as long as the product rounds a cell
-    alike wherever it sits in the box.  The real product of a coin with no
-    imaginary part does; the complex one does not, as complex BLAS rounds
-    the last (sites mod 4) columns of a product by another kernel, and a
-    cut box puts other cells there.  So a coin with an imaginary part walks
-    whole.  A cut walk never sees the sites far away, so it is cut only
-    when no site can reach the coordinate limit, max(|m|, |n|) + ``steps``
-    < 2^30 over the start's support; otherwise it walks whole and raises
-    where :func:`evolve` does.
+    the same operations as in the whole walk, so for every coin the
+    amplitudes at the points are the same to the bit: the real product
+    rounds a cell alike wherever it sits in a product at least two columns
+    wide, and no box, cut or whole, is narrower (``_step_box``).  A cut walk
+    never sees the sites far away, so it is cut only when no site can reach
+    the coordinate limit, max(|m|, |n|) + ``steps`` < 2^30 over the start's
+    support; otherwise it walks whole and raises where :func:`evolve` does.
     """
     if points is not None:
         m, n, _ = state._sites()
-        if coin._real is None or max(np.abs(m).max(), np.abs(n).max()) + steps >= _COORD_LIMIT:
+        if max(np.abs(m).max(), np.abs(n).max()) + steps >= _COORD_LIMIT:
             points = None
     windows = _to_windows(state, steps)
     for t in range(steps + 1):
@@ -579,4 +578,4 @@ def evolve_momentum(
     grid = np.fft.ifft2(vectors.reshape(momentum.shape), axes=(1, 2))
 
     grid[np.abs(grid) < MOMENTUM_DROP_TOL] = 0
-    return PositionState._from_sites(*_grid_sites(m0, n0, grid))
+    return PositionState._from_sites(*_grid_sites(m0, n0, _planes(grid)))

@@ -4,23 +4,23 @@ The Grover coin gives the walk step two eigenvalues, +1 and -1, whose
 eigenvectors can be chosen with finite support; superposing one of each
 yields a state that the step swaps back and forth between two disjoint
 configurations, an exact two-step revival.  This module constructs those
-states in closed form, searches for finite-support eigenstates of
-arbitrary coins by solving a box-restricted eigenproblem, and reads two
-observables off one walk: the fidelity to the initial state, whose first
-return to 1 is the revival period, and the return probability.  The
-search builds its eigen-equation with the walk's own step, coin and shift
-(``dynamics._step_box``) and reads each null vector back as a (4, s, s)
-box, as the walk does.  Every move flips the parity of m + n, so the step
-maps the box's odd-parity cells onto even ones and back; the search solves
-for the odd half of an eigenstate alone, one column per component of an
-odd cell, and the step gives the even half.  That system involves the
-eigenvalue squared only, so +lambda and -lambda share it, the same parity
-structure that pairs the constant eigenvalues.  For a real coin (Grover,
-swap) at lambda in {+-1, +-i} the system is real, and the search runs a
-real SVD on it, about half the cost of the complex one: the odd halves
-come out real, so the states at +-1 are real and those at +-i have an
-imaginary even half.  It searches the box [0, s)^2;
-:meth:`PositionState.translate` moves what it finds.
+states in closed form, searches for finite-support eigenstates of arbitrary
+coins by solving a box-restricted eigenproblem, and reads two observables
+off one walk: the fidelity to the initial state, whose first return to 1 is
+the revival period, and the return probability.  The search steps a basis
+of real and imaginary planes with the walk's own step, coin and shift
+(``dynamics._step_box``), forms a complex system from it only for the SVD,
+and reads each null vector back as a box, as the walk does.  Every move
+flips the parity of m + n, so the step maps the box's odd-parity cells onto
+even ones and back; the search solves for the odd half of an eigenstate
+alone, one column per component of an odd cell, and the step gives the even
+half.  That system involves the eigenvalue squared only, so +lambda and
+-lambda share it, the same parity structure that pairs the constant
+eigenvalues.  For a real coin (Grover, swap) at lambda in {+-1, +-i} the
+system is real, and the search runs a real SVD on it, about half the cost
+of the complex one: the odd halves come out real, so the states at +-1 are
+real and those at +-i have an imaginary even half.  It searches the box
+[0, s)^2; :meth:`PositionState.translate` moves what it finds.
 
 The return probability after t steps is the probability of finding the
 walker at the lattice origin (0, 0), coin components traced out, for any
@@ -28,10 +28,11 @@ normalized initial state; a walker that starts away from the origin
 starts with return probability 0.  :func:`detect_period` records it
 alongside the fidelity in a single pass over
 :func:`qwalk2d.dynamics._trajectory`.  :func:`return_probability_series`
-reads the origin alone, so it walks only the origin's backward light cone:
-after t of T steps, the cells within L1 distance T - t of the origin, about
-T^3/12 cells in all against the T^3/3 of the whole walk.  Its series is
-the period scan's to the bit.
+reads the origin alone, so for every coin it walks only the origin's
+backward light cone: after t of T steps, the cells within L1 distance
+T - t of the origin, about T^3/12 cells in all against the T^3/3 of the
+whole walk.  Its series is the period scan's to the bit: the walk's one
+real product, never one column wide, rounds a cell alike wherever it sits.
 
 A revival period of at most 2 holds when the point spectrum is a single
 {+lambda, -lambda} pair, as it is for Grover: a state in those eigenspaces
@@ -45,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoinOperator, _amplitudes, _grid_sites, _norm, _step_box, _trajectory
+from .dynamics import CoinOperator, _amplitudes, _complex, _grid_sites, _norm, _planes
+from .dynamics import _step_box, _trajectory
 from .states import PositionState, _check_norm, _integer, _require_normalized
 
 __all__ = [
@@ -169,14 +171,14 @@ def find_local_stationary_states(
     cells = np.flatnonzero(odd[1:-1, 1:-1])
     if not cells.size:
         return StationaryStateSet(eigenvalue, (), largest_null=0.0, smallest_kept=1.0)
-    # column (c, k): a unit amplitude in component c of odd cell k
+    # column (c, k): a unit amplitude in component c of odd cell k, as planes
     c, k = np.arange(4)[:, None], np.arange(cells.size)
-    basis = np.zeros((4, cells.size, 4, s * s), dtype=complex)
-    basis[c, k, c, cells] = 1
-    basis = basis.reshape(-1, 4, s, s)
+    basis = np.zeros((4, cells.size, 4, 2, s * s))
+    basis[c, k, c, 0, cells] = 1
+    basis = basis.reshape(-1, 4, 2, s, s)
     once = _step_box(basis, coin)
-    inside = once[..., 1:-1, 1:-1]
-    twice = _step_box(inside, coin)
+    twice = _complex(_step_box(once[..., 1:-1, 1:-1], coin))
+    once, basis = _complex(once), _complex(basis)
     twice[..., 1:-1, 1:-1] -= eigenvalue**2 * basis
     system = np.concatenate([once[..., ring], twice[..., odd]], axis=-1)
 
@@ -188,9 +190,9 @@ def find_local_stationary_states(
     _, singular, vh = np.linalg.svd(system, full_matrices=False)
     ratio = singular / singular[0]
     null = ratio <= NULL_SPACE_RTOL
-    boxes = vh[null].conj() @ (basis + inside / eigenvalue).reshape(len(basis), -1)
+    boxes = vh[null].conj() @ (basis + once[..., 1:-1, 1:-1] / eigenvalue).reshape(len(basis), -1)
     states = tuple(
-        PositionState._from_sites(*_grid_sites(0, 0, box))
+        PositionState._from_sites(*_grid_sites(0, 0, _planes(box)))
         for box in boxes.reshape(-1, 4, s, s) / np.sqrt(2.0)
     )
     return StationaryStateSet(
@@ -292,12 +294,11 @@ def return_probability_series(
     eigenvalues keeps this series bounded away from zero (the walker stays
     partially trapped); generic coins let it decay toward zero.
 
-    Only the origin is read, so after t steps the walk keeps only the cells
-    that can still reach it, those within L1 distance ``t_max - t``: about
-    ``t_max**3 / 12`` cells are stepped in all, a quarter of the whole
-    walk, and the series is the whole walk's to the bit.  A coin with an
-    imaginary part walks whole, since complex BLAS rounds a cell by where
-    it sits in the box.  Raises ValueError for an unnormalized start, a
+    Only the origin is read, so for every coin the walk keeps after t steps
+    only the cells that can still reach it, those within L1 distance
+    ``t_max - t``: about ``t_max**3 / 12`` cells are stepped in all, a
+    quarter of the whole walk, and the series is the whole walk's to the
+    bit.  Raises ValueError for an unnormalized start, a
     ``t_max`` that is not an integer of at least 0, and a walk that moves
     a site past the coordinate limit, at exactly the inputs where
     :func:`qwalk2d.evolve` raises: a start that could reach the limit in

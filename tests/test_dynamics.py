@@ -484,7 +484,7 @@ def _unit_disk(rng, shape):
 
 
 # the last coin differs from Grover by a phase of 1e-13 on one column, about
-# 5e-14 in an imaginary part: exact zeros, not a tolerance, make a coin real
+# 5e-14 in an imaginary part: a complex coin all but real
 KERNEL_COINS = {
     "grover": builtin_coin("grover"),
     "hadamard4": builtin_coin("hadamard4"),
@@ -500,6 +500,8 @@ KERNEL_BOXES = {
     "batched": _unit_disk(np.random.default_rng(6), (3, 4, 5, 6)),
     # 8-row bands in a box wider than 4,096 columns: three of them, the last short
     "wide": _unit_disk(np.random.default_rng(7), (4, 20, 4100)),
+    # a one-column product takes BLAS's gemv path
+    "one_cell": _BIG[:, 4:5, 7:8],
 }
 
 
@@ -508,8 +510,7 @@ KERNEL_BOXES = {
 @pytest.mark.parametrize("name", KERNEL_COINS)
 def test_step_box_matches_an_einsum_reference_on_every_box_shape(name, box, rotated):
     coin, grid = KERNEL_COINS[name], KERNEL_BOXES[box]
-    assert (coin._real is None) == (name == "grover_tilted")
-    out = dynamics._step_box(grid, coin, rotated)
+    out = dynamics._complex(dynamics._step_box(dynamics._planes(grid), coin, rotated))
     expected = _reference_step_box(grid, coin.matrix, rotated)
     assert out.shape == expected.shape
     assert np.abs(out - expected).max() <= 1e-15

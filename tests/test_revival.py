@@ -28,7 +28,7 @@ from qwalk2d import (
 )
 from qwalk2d import dynamics
 from qwalk2d.cli import main
-from qwalk2d.dynamics import _amplitudes, _step_box, _to_windows, _trajectory
+from qwalk2d.dynamics import _amplitudes, _complex, _planes, _step_box, _to_windows, _trajectory
 from qwalk2d.revival import NULL_SPACE_RTOL
 
 from conftest import amp_diff, permutation_coin
@@ -191,10 +191,10 @@ def whole_box_null_count(coin, eigenvalue, s):
 
     The search solved this 4(s+2)^2 x 4s^2 system before it was reduced to
     one parity class: one column per basis state of the box, stepped by
-    ``_step_box``, and the same cutoff.
+    ``_step_box`` on its planes, and the same cutoff.
     """
     basis = np.eye(4 * s * s, dtype=complex).reshape(-1, 4, s, s)
-    image = _step_box(basis, coin)
+    image = _complex(_step_box(_planes(basis), coin))
     image[..., 1:-1, 1:-1] -= eigenvalue * basis
     singular = np.linalg.svd(image.reshape(len(image), -1).T, compute_uv=False)
     return int(np.count_nonzero(singular <= NULL_SPACE_RTOL * singular[0]))
@@ -253,7 +253,7 @@ def test_search_spans_the_whole_box_null_space(name):
                 continue
             rows = box_rows(found, s)
             assert np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max() <= 1e-12
-            image = _step_box(rows.reshape(-1, 4, s, s), coin)
+            image = _complex(_step_box(_planes(rows.reshape(-1, 4, s, s)), coin))
             image[..., 1:-1, 1:-1] -= eigenvalue * rows.reshape(-1, 4, s, s)
             assert np.abs(image).max() <= 1e-12, (eigenvalue, s)
 
@@ -462,19 +462,33 @@ def _line(sites):
 
 def _crop_cases():
     grover, hadamard4 = builtin_coin("grover"), builtin_coin("hadamard4")
+    coins = {"grover": grover, "hadamard4": hadamard4, "dft4": builtin_coin("dft4"),
+             "haar": random_coin(3)}
     # two clusters more than 2 * 40 + 1 sites apart walk in windows of their own
     clusters = PositionState({(0, 0): (0.5, 0.5j, 0, 0), (1, 1): (0, 0, 0.5, 0),
                               (90, -4): (0, 0, 0, 0.5j), (91, -3): (0, -0.5, 0, 0)})
     clusters = superpose([(1 / clusters.norm(), clusters)])
+    # starts on the edge of the origin's light cone: the cut keeps one cell of
+    # the walk's box per step, and a second one beside it, as no product may
+    # be one column wide (BLAS's gemv path rounds apart)
+    edges = {
+        f"{name} from {component} at {point}, on the cone's edge":
+            (make_basis_state(point, component), coin, 60)
+        for point, component in (((60, 0), "L"), ((0, -60), "U"), ((30, 30), "L"))
+        for name, coin in coins.items()
+    }
     return {
         "grover from origin_symmetric": (origin_symmetric_state(), grover, 60),
-        # cut like a real coin's walk, this one moved p0(60) by 5.4e-20 (complex
-        # BLAS rounds the last sites mod 4 of a product apart), so it walks whole
-        "haar, the complex path": (origin_symmetric_state(), random_coin(11), 60),
+        # complex BLAS rounded the last sites mod 4 of a product apart, which
+        # moved this one's p0(60) by 5.4e-20 when it was cut; the real product
+        # of the coin's planes does not
+        "haar from origin_symmetric": (origin_symmetric_state(), random_coin(11), 60),
+        "dft4 from origin_symmetric": (origin_symmetric_state(), builtin_coin("dft4"), 60),
         "hadamard4 from (30, -7), partly cut": (make_basis_state((30, -7), "U"), hadamard4, 50),
         "beyond reach": (make_basis_state((80, 0), "L"), grover, 60),
         "two windows": (clusters, hadamard4, 40),
         "a line in the (m, n) frame": (_line(60), grover, 20),
+        **edges,
     }
 
 
@@ -529,7 +543,7 @@ def test_the_scan_steps_about_a_quarter_of_the_whole_walks_cells(monkeypatch):
     assert 0 < cut <= 0.3 * whole  # 0.269 measured
     far = make_basis_state((80, 0), "L")
     assert _cells_stepped(monkeypatch, return_probability_series, far, grover, 60) == 0
-    # a coin with an imaginary part walks whole: complex BLAS rounds a cell
-    # by where it sits in the box, and a cut box moves it
-    haar = random_coin(11)
-    assert _cells_stepped(monkeypatch, return_probability_series, start, haar, 60) == whole
+    # every coin's scan is cut, the complex ones too
+    for coin in (random_coin(11), builtin_coin("dft4")):
+        cut = _cells_stepped(monkeypatch, return_probability_series, start, coin, 60)
+        assert 0 < cut <= 0.3 * _cells_stepped(monkeypatch, detect_period, start, coin, 60)

@@ -123,7 +123,7 @@ def test_the_init_state_file_is_normalized_and_walks_in_two_frames(tmp_path):
     windows = _to_windows(state, same_outputs.INIT_STEPS)
     # the line in one (m, n) box, the cluster in one rotated box per parity class
     assert sorted(window.rotated for window in windows) == [False, True, True]
-    assert sum("{init}" in command for command in same_outputs.COMMANDS) == 2
+    assert sum("{init}" in command for command in same_outputs.COMMANDS) == 3
 
 
 def test_the_conjugated_coin_file_is_unitary_and_not_its_own_transpose(tmp_path):

@@ -67,6 +67,9 @@ COMMANDS = [
     "revival --coin grover --init origin_symmetric --tmax 150 --out {out}",
     f"simulate --coin {{haar}} --init {{init}} --steps {INIT_STEPS} --out {{out}}",
     f"revival --coin grover --init {{init}} --tmax {INIT_STEPS} --out {{out}}",
+    # complex coins: the revival scans' walk on real and imaginary planes
+    "revival --coin dft4 --init origin_symmetric --tmax 60 --out {out}",
+    f"revival --coin {{haar}} --init {{init}} --tmax {INIT_STEPS} --out {{out}}",
     "simulate --coin nope --init revival --steps 1 --out {out}",
     "simulate --coin grover --init psi3 --steps 1 --out {out}",
     "simulate --coin grover --init revival --steps -1 --out {out}",
