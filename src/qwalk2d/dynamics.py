@@ -426,7 +426,7 @@ def _amplitudes(windows: list[_Window], points: np.ndarray) -> np.ndarray:
             i, j = (i + j) >> 1, (i - j) >> 1
         inside = on_class & (i >= 0) & (i < grid.shape[-2]) & (j >= 0) & (j < grid.shape[-1])
         # boxes may overlap, but the windows' supports are disjoint
-        out[inside] += np.moveaxis(grid[..., i[inside], j[inside]], -1, 0)
+        out[inside] += grid[..., i[inside], j[inside]].transpose(2, 0, 1)
     return out.view(complex)[..., 0]
 
 
