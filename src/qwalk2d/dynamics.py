@@ -135,10 +135,9 @@ class CoinOperator:
         matrix.flags.writeable = False
         self.matrix = matrix
         self.name = name
-        # C = A + iB as the real 8x8 matrix [[A, -B], [B, A]] on the (component,
-        # part) rows of a window, so ``_step_box`` runs one real product per coin
-        a, b = matrix.real, matrix.imag
-        self._planes = np.array([[a, -b], [b, a]]).transpose(2, 0, 3, 1).reshape(8, 8)
+        # C = A + iB as the real 8x8 matrix A (x) I + B (x) [[0, -1], [1, 0]] on the
+        # (component, part) rows of a window: one real product for every coin
+        self._planes = np.kron(matrix.real, np.eye(2)) + np.kron(matrix.imag, [[0, -1], [1, 0]])
 
     def __repr__(self):
         label = self.name or "custom"
@@ -296,11 +295,12 @@ def _grid_sites(m0, n0, grid, rotated=False):
     come in box order; zero components come out as +0 as a whole entry.
     ``PositionState._from_sites`` takes the three arrays as they are.
     """
-    i, j = np.nonzero(grid.any(axis=(0, 1)))
-    # (4, 2, sites) -> (sites, 8) rows of (re, im) pairs, viewed as complex
-    amps = grid[..., i, j].reshape(8, -1).T.copy().view(complex)
+    flat = grid.reshape(4, 2, -1)
+    # one axis at a time, which is fast on a strided view too
+    keep = np.flatnonzero(flat.any(axis=0).any(axis=0))
+    amps = np.take(flat, keep, axis=2).reshape(8, -1).T.copy().view(complex)
     amps[amps == 0] = 0
-    return (*_sites(m0, n0, i, j, rotated), amps)
+    return (*_sites(m0, n0, *np.divmod(keep, grid.shape[-1]), rotated), amps)
 
 
 def _to_state(windows: list[_Window]) -> PositionState:
@@ -350,8 +350,8 @@ def _crop(windows: list[_Window], points: np.ndarray, reach: int) -> list[_Windo
     |v - v_p| <= ``reach`` over the range of the points' u = m + n and
     v = m - n: for one point, exactly the cells in reach.  An (m, n) window
     keeps |m - m_p|, |n - n_p| <= ``reach``, the square around that
-    diamond, and a second column where one is left (``_step_box``).  A window
-    with no cell left is dropped.  A cut window is a view; ``_step_box``
+    diamond.  Either keeps a second column where one is left (``_step_box``);
+    one with no cell left is dropped.  A cut window is a view; ``_step_box``
     copies it as it needs.
     """
     m, n = points[:, 0], points[:, 1]

@@ -56,7 +56,7 @@ COMMANDS = [
     "spectrum --coin hadamard4 --grid 64 --out {out}",
     "stationary --coin grover --box 4 --out {out}",
     "stationary --coin swap --lambda -1,0 --box 3 --out {out}",
-    # real coins: the walk's coin product and the search's SVD in real arithmetic
+    # real coins: the search's SVD in real arithmetic, and a walk that keeps every bit
     "stationary --coin swap --lambda 0,1 --box 4 --out {out}",
     "stationary --coin grover --lambda -1,0 --box 8 --out {out}",
     "simulate --coin hadamard4 --init origin_symmetric --steps 100 --out {out}",
