@@ -101,9 +101,9 @@ _BUILTIN_COINS = {
 }
 BUILTIN_COIN_NAMES = tuple(_BUILTIN_COINS)
 
-# a band of the coin multiply in the window step is 8 * (_BAND_SITES // width)
-# rows of either frame's box, at least 8: up to 8 * _BAND_SITES = 32,768
-# sites, 2 MiB of float64 planes per product
+# a band of the window step's one real coin product is 8 * (_BAND_SITES // width)
+# rows, at least 8, of a box at least two columns wide, so never one cell: up to
+# 8 * _BAND_SITES = 32,768 sites, 2 MiB of float64 planes per product
 _BAND_SITES = 4096
 
 
