@@ -15,13 +15,13 @@ moves the whole class to the other one: after t steps from one site, the
 (t + 1)^2 sites it can reach fill the box, where an (m, n) box spans
 (2t + 1)^2 sites, three quarters of them empty.
 ``_step_box``, the only code that applies the step, does one real product
-for every coin, its 8x8 plane matrix times the box's 8 planes, and four
-slice copies into a zeroed box one step larger, read off ``_MOVES``, the
-one table of the R/L/U/D moves; :mod:`qwalk2d.revival` builds its box
-eigen-equation with it too.  No product is one column wide, as BLAS's gemv
-path rounds a cell apart: every box keeps at least two columns.  The walk
-trims border rows and columns that are all zero, so a stationary or
-localized state keeps a small window.
+for every coin, its plane matrix (8x8, or 4x4 for a real coin) times the
+box's planes, and four slice copies into a zeroed box one step larger, read
+off ``_MOVES``, the one table of the R/L/U/D moves; :mod:`qwalk2d.revival`
+builds its box eigen-equation with it too.  No product is one column wide,
+as BLAS's gemv path rounds a cell apart: every box keeps at least two
+columns.  The walk trims border rows and columns that are all zero, so a
+stationary or localized state keeps a small window.
 :class:`PositionState` stays the input and output type; states are
 converted to windows and back only at the boundaries, the only places
 complex arrays are built: ``_to_windows``
@@ -50,18 +50,19 @@ and the period scan read the whole state and walk it whole.
 
 The same step can be run in the momentum picture on an even-sized periodic
 box, where it acts at momentum (k, l) as the 4x4 unitary
-Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  That symbol, in that one sign
-convention, is built only by ``_momentum_symbol``, its phases read off
-``_MOVES``, component-major as (4, 4, K, L) like the windows, so its
-readers index it in place.  :func:`evolve_momentum` powers it via FFTs and
-reproduces the direct path exactly.  Its ``lattice_size`` is the periodic
-box the wavefront must fit: it raises unless ``span + 2*steps <=
-lattice_size``.  It computes on the smallest even box per axis that holds
-the wavefront and has no prime factor above 7, which can be a few cells
-wider than ``lattice_size``: any box that holds the wavefront is the same
-walk.  Every move changes the parity of m + n, so U(k + pi, l + pi) =
--U(k, l): on the even box the symbol is powered over half the k axis only,
-and each power is applied straight to the Fourier vectors.
+Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C.  Only ``_axis_phases`` reads
+its phases off ``_MOVES``, in that one sign convention, for
+``_momentum_symbol`` and :mod:`qwalk2d.spectral` alike; the symbol is
+(4, 4, K, L), component-major like the windows.  :func:`evolve_momentum`
+powers it via FFTs and reproduces the direct path exactly.  Its
+``lattice_size`` is the periodic box the wavefront must fit: it raises
+unless ``span + 2*steps <= lattice_size``.  It computes on the smallest
+even box per axis that holds the wavefront and has no prime factor above
+7, which can be a few cells wider than ``lattice_size``: any box that
+holds the wavefront is the same walk.  Every move changes the parity of
+m + n, so U(k + pi, l + pi) = -U(k, l): on the even box the symbol is
+powered over half the k axis only, and each power is applied straight to
+the Fourier vectors.
 """
 
 import math
@@ -102,8 +103,8 @@ _BUILTIN_COINS = {
 BUILTIN_COIN_NAMES = tuple(_BUILTIN_COINS)
 
 # a band of the window step's one real coin product is 8 * (_BAND_SITES // width)
-# rows, at least 8, of a box at least two columns wide, so never one cell: up to
-# 8 * _BAND_SITES = 32,768 sites, 2 MiB of float64 planes per product
+# rows, at least 8, of a box at least two columns wide, so never one product column:
+# up to 8 * _BAND_SITES = 32,768 sites, 2 MiB of float64 planes per product
 _BAND_SITES = 4096
 
 
@@ -136,8 +137,9 @@ class CoinOperator:
         self.matrix = matrix
         self.name = name
         # C = A + iB as the real 8x8 matrix A (x) I + B (x) [[0, -1], [1, 0]] on the
-        # (component, part) rows of a window: one real product for every coin
-        self._planes = np.kron(matrix.real, np.eye(2)) + np.kron(matrix.imag, [[0, -1], [1, 0]])
+        # (component, part) rows of a window; a real coin as A on component rows
+        planes = np.kron(matrix.real, np.eye(2)) + np.kron(matrix.imag, [[0, -1], [1, 0]])
+        self._planes = planes if matrix.imag.any() else matrix.real
 
     def __repr__(self):
         label = self.name or "custom"
@@ -379,8 +381,9 @@ def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np
 
     Returns the box padded for one step, (..., 4, 2, H+2, W+2) in the (m, n)
     frame and (..., 4, 2, H+1, W+1) in the rotated frame; leading axes are a
-    batch.  The coin multiply is one real product for every coin, its 8x8
-    plane matrix (``CoinOperator._planes``) times the box's 8 planes, over
+    batch.  The coin multiply is one real product, ``CoinOperator._planes``
+    times the box's planes: 8x8 on 8 rows, or a real coin's 4x4 on 4 rows of
+    two planes each, the same bits without the zero blocks.  It runs over
     bands of 8 * (_BAND_SITES // W) rows: 16,392 to 32,768 sites, up to
     2 MiB per product, in a box at most 4,096 sites wide, and 8 rows in a
     wider one.  Each band is shifted into place, read off ``_MOVES``, as
@@ -395,7 +398,7 @@ def _step_box(grid: np.ndarray, coin: CoinOperator, rotated: bool = False) -> np
     band = 8 * max(1, _BAND_SITES // width)
     for top in range(0, height, band):
         block = grid[..., top : top + band, :]
-        rows = (coin._planes @ block.reshape(*batch, 8, -1)).reshape(block.shape)
+        rows = (coin._planes @ block.reshape(*batch, len(coin._planes), -1)).reshape(block.shape)
         for c, (i, j) in enumerate(_MOVES[rotated]):
             out[..., c, :, top + i : top + i + rows.shape[-2], j : j + width] = rows[..., c, :, :, :]
     return out
@@ -485,19 +488,28 @@ def step(state: PositionState, coin: CoinOperator) -> PositionState:
     return evolve(state, coin, 1)
 
 
-def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
-    """Step matrices Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C over ks x ls.
+def _axis_phases(ks, ls):
+    """``(x, y, on_k)``: e^{i dm k} over ``ks`` and e^{i dn l} over ``ls`` per
+    component's move (dm, dn) in ``_MOVES``, and whether it moves along m.
 
-    Returns a C-contiguous (4, 4, len(ks), len(ls)) array, component-major
-    like the windows.  Every momentum-picture computation builds its step
-    matrices here, in one sign convention: R picks up e^{ik}, per ``_MOVES``.
+    R picks up e^{ik}, L e^{-ik}, U e^{il}, D e^{-il}: the one sign convention.
     """
     dm, dn = np.array(_MOVES[False]).T - 1
     # k + 0.0, 1j * d and np.where give e^{-ik} at k = 0 as 1 - 0j, the conjugate
     # of e^{ik}; a product with e^{0i} = 1 + 0j would give 1 + 0j
     x = np.exp(np.multiply.outer(1j * dm, np.asarray(ks, dtype=float) + 0.0))
     y = np.exp(np.multiply.outer(1j * dn, np.asarray(ls, dtype=float) + 0.0))
-    phases = np.where((dm != 0)[:, None, None], x[:, :, None], y[:, None, :])
+    return x, y, dm != 0
+
+
+def _momentum_symbol(coin: CoinOperator, ks, ls) -> np.ndarray:
+    """Step matrices Diag(e^{ik}, e^{-ik}, e^{il}, e^{-il}) @ C over ks x ls.
+
+    Returns a C-contiguous (4, 4, len(ks), len(ls)) array, component-major
+    like the windows, with the phases of ``_axis_phases``.
+    """
+    x, y, on_k = _axis_phases(ks, ls)
+    phases = np.where(on_k[:, None, None], x[:, :, None], y[:, None, :])
     return phases[:, None] * coin.matrix[:, :, None, None]
 
 

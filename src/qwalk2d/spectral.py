@@ -1,9 +1,9 @@
 """Spectrum of the per-momentum step matrix of a four-state lattice walk.
 
 For a coin C the walk step acts at momentum (k, l) as the 4x4 unitary
-U = Diag(x, 1/x, y, 1/y) @ C with x = e^{ik}, y = e^{il}, which
-``dynamics._momentum_symbol`` builds, in this one sign convention, for
-this module and for the momentum-picture evolution alike.
+U = Diag(x, 1/x, y, 1/y) @ C with x = e^{ik}, y = e^{il}, whose phases
+``dynamics._axis_phases`` gives, in this one sign convention, for this
+module and for the momentum-picture evolution alike.
 
 An eigenvalue that stays put across *all* momenta gives the
 position-space step a point spectrum, which is what makes finite
@@ -16,7 +16,7 @@ U and D in their place at y and 1/y; lambda^2 (C_ii C_jj - C_ij C_ji),
 i in {R, L}, j in {U, D}, at x^a y^b.  A constant eigenvalue makes all
 nine vanish, through mu = lambda^2 only: constants come in +- pairs, at
 most two.  This module finds them with no eigensolve and profiles the
-coefficients e1 and e2 of p over momentum grids.
+coefficients e1 and e2 of p over momentum grids from these closed forms.
 """
 
 import numbers
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import CoinOperator, _momentum_symbol
+from .dynamics import CoinOperator, _axis_phases, _momentum_symbol
 from .states import _integer
 
 __all__ = [
@@ -215,18 +215,25 @@ def char_poly_profile(coin: CoinOperator, grid_size: int) -> CharPolyProfile:
     """Sample the characteristic polynomial of the step matrix over a grid.
 
     The polynomial is lambda^4 - e1 lambda^3 + e2 lambda^2 - e3 lambda + e4
-    at each of the grid_size^2 momentum cells, computed from traces of the
-    step matrix U without an eigensolve: e1 = tr U and
-    e2 = (e1^2 - tr U^2) / 2.  Because det U = det C and U is unitary,
-    e3 = det C * conj(e1) and e4 = det C exactly.  Raises ValueError for a
-    grid size that is not an integer of at least 8.
+    at each of the grid_size^2 momentum cells, from C with no step matrix U:
+    e1 = (C_RR x + C_LL/x) + (C_UU y + C_DD/y), an outer sum, and
+    e2 = minor(R, L) + minor(U, D) + (x, 1/x) @ [minor(i, j)] @ (y, 1/y),
+    i in {R, L}, j in {U, D}, minor(i, j) = C_ii C_jj - C_ij C_ji.  Because
+    det U = det C and U is unitary, e3 = det C * conj(e1) and e4 = det C
+    exactly.  Raises ValueError for a grid size that is not an integer of
+    at least 8.
     """
     grid_size = _integer(grid_size, "grid_size", 8)
     momenta = 2 * np.pi * np.arange(grid_size) / grid_size
-    symbol = _momentum_symbol(coin, momenta, momenta)
-    det_coin = complex(np.linalg.det(coin.matrix))
-    e1 = np.trace(symbol)
-    e2 = (e1**2 - np.einsum("ij...,ji...->...", symbol, symbol)) / 2
+    x, y, on_k = _axis_phases(momenta, momenta)
+    ms, ns = np.flatnonzero(on_k), np.flatnonzero(~on_k)  # (R, L) and (U, D)
+    c, diagonal = coin.matrix, np.diag(coin.matrix)
+    minors = np.outer(diagonal, diagonal) - c * c.T
+    e1 = np.add.outer(diagonal[ms] @ x[ms], diagonal[ns] @ y[ns])
+    e2 = x[ms].T @ minors[np.ix_(ms, ns)] @ y[ns]
+    # a pair on one axis has the phase e^{ik} e^{-ik} = 1
+    e2 += minors[ms[0], ms[1]] + minors[ns[0], ns[1]]
+    det_coin = complex(np.linalg.det(c))
     for arr in (e1, e2):
         arr.flags.writeable = False
     return CharPolyProfile(grid_size=grid_size, e1=e1, e2=e2, det_coin=det_coin)

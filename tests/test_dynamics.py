@@ -516,6 +516,28 @@ def test_step_box_matches_an_einsum_reference_on_every_box_shape(name, box, rota
     assert np.abs(out - expected).max() <= 1e-15
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("box", KERNEL_BOXES)
+@pytest.mark.parametrize("name", ["grover", "hadamard4", "swap"])
+def test_a_real_coins_4x4_product_equals_its_8x8_plane_product(name, box, rotated):
+    coin = KERNEL_COINS[name]
+    assert coin._planes.shape == (4, 4)
+    wide = CoinOperator(coin.matrix)
+    wide._planes = np.kron(coin.matrix.real, np.eye(2))
+    grid = dynamics._planes(KERNEL_BOXES[box])
+    out = dynamics._step_box(grid, coin, rotated)
+    if grid.shape[-2:] == (1, 1):
+        # the 4x4 product of one cell has two columns, its real and imaginary parts,
+        # but the 8x8 one has one and takes BLAS's gemv path: a zero second cell gives
+        # the 8x8 product the two columns every walk's box has
+        padded = np.concatenate([grid, np.zeros_like(grid)], axis=-1)
+        expected = dynamics._step_box(padded, wide, rotated)[..., :-1]
+    else:
+        expected = dynamics._step_box(grid, wide, rotated)
+    assert out.shape == expected.shape
+    assert (out == expected).all()
+
+
 def test_walks_stop_at_the_coordinate_limit():
     identity = CoinOperator(np.eye(4))
     start = make_basis_state((2**30 - 3, 0), "R")

@@ -2,17 +2,20 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwalk2d import (
+    BUILTIN_COIN_NAMES,
     CoinOperator,
     builtin_coin,
     char_poly_profile,
     detect_constant_eigenvalues,
     momentum_propagator,
+    dynamics,
     random_coin,
     spectral,
 )
@@ -305,22 +308,23 @@ def test_closed_form_matches_the_eigvals_scan(kind, perm, seed, grid_size):
     assert_matches_eigvals_scan(coin, grid_size)
 
 
-def test_detection_runs_no_eigensolve_and_spectrum_builds_one_symbol(
+def test_detection_runs_no_eigensolve_and_spectrum_builds_no_symbol(
     monkeypatch, tmp_path, capsys
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("eigensolve on the detection path")
+        raise AssertionError("eigensolve or einsum on the detection path")
 
     monkeypatch.setattr(spectral.np.linalg, "eigvals", refuse)
     monkeypatch.setattr(spectral.np.linalg, "eig", refuse)
+    monkeypatch.setattr(spectral.np, "einsum", refuse)
     builds = []
-    symbol = spectral._momentum_symbol
-    monkeypatch.setattr(
-        spectral, "_momentum_symbol", lambda *args: builds.append(args) or symbol(*args)
-    )
+    symbol = dynamics._momentum_symbol
+    for module in (spectral, dynamics):
+        monkeypatch.setattr(
+            module, "_momentum_symbol", lambda *args: builds.append(args) or symbol(*args)
+        )
     for name in ("grover", "swap", "hadamard4"):
         detect_constant_eigenvalues(builtin_coin(name), 32, 1e-8)
-    builds.clear()
     detections = []
     detect = cli.detect_constant_eigenvalues
     monkeypatch.setattr(
@@ -328,7 +332,7 @@ def test_detection_runs_no_eigensolve_and_spectrum_builds_one_symbol(
     )
     assert main(["spectrum", "--coin", "grover", "--grid", "32", "--out", str(tmp_path)]) == 0
     assert "constants=2" in capsys.readouterr().out
-    assert len(builds) == 1
+    assert builds == []
     assert len(detections) == 1
 
 
@@ -379,6 +383,47 @@ def test_closed_form_charpoly_matches_eigenvalues(seed, grid_size, data):
     e1, det_coin = profile.e1[i, j], profile.det_coin
     closed = [-e1, profile.e2[i, j], -det_coin * np.conj(e1), det_coin]
     np.testing.assert_allclose(closed, expected, rtol=0, atol=1e-12)
+
+
+def trace_profile(coin, grid_size):
+    """e1 and e2 from traces of the step matrices, the reference for the closed form."""
+    momenta = 2 * np.pi * np.arange(grid_size) / grid_size
+    symbol = spectral._momentum_symbol(coin, momenta, momenta)
+    e1 = np.trace(symbol)
+    return e1, (e1**2 - np.einsum("ij...,ji...->...", symbol, symbol)) / 2
+
+
+@pytest.mark.parametrize("grid_size", [8, 15, 64])
+@pytest.mark.parametrize("name", [*BUILTIN_COIN_NAMES, *(f"haar{seed}" for seed in range(10))])
+def test_closed_form_profile_equals_the_trace_formulas(name, grid_size):
+    if name.startswith("haar"):
+        coin = random_coin(np.random.default_rng(int(name[4:])))
+    else:
+        coin = builtin_coin(name)
+    profile = char_poly_profile(coin, grid_size)
+    e1, e2 = trace_profile(coin, grid_size)
+    assert profile.e1.shape == profile.e2.shape == (grid_size, grid_size)
+    assert np.abs(profile.e1 - e1).max() <= 1e-13
+    assert np.abs(profile.e2 - e2).max() <= 1e-13
+
+
+@pytest.mark.parametrize("grid_size", [8, 15, 256])
+def test_grover_and_swap_have_an_exactly_constant_e2(grid_size):
+    # their minors across the axes are exactly 0, so e2 is the constant alone
+    for name in ("grover", "swap"):
+        assert char_poly_profile(builtin_coin(name), grid_size).e2_variance == 0.0
+
+
+def test_detection_at_grid_256_peaks_below_6_mib():
+    coin = random_coin(3)
+    tracemalloc.start()
+    try:
+        detect_constant_eigenvalues(coin, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (4, 4, 256, 256) symbol alone is 16 MiB; e1, e2 and p are 1 MiB each
+    assert peak <= 6 * 2**20
 
 
 def test_detected_constants_imply_constant_lambda2_coefficient():

@@ -61,6 +61,8 @@ COMMANDS = [
     "stationary --coin grover --lambda -1,0 --box 8 --out {out}",
     "simulate --coin hadamard4 --init origin_symmetric --steps 100 --out {out}",
     "spectrum --coin {conj} --grid 256 --out {out}",
+    # the spectrum workload's grid on a complex coin with no constant
+    "spectrum --coin {haar} --grid 256 --out {out}",
     "stationary --coin {conj} --box 8 --out {out}",
     "stationary --coin {conj} --lambda -1,0 --box 8 --out {out}",
     "revival --coin grover --init revival --tmax 10 --out {out}",
