@@ -490,6 +490,10 @@ KERNEL_COINS = {
     "hadamard4": builtin_coin("hadamard4"),
     "swap": builtin_coin("swap"),
     "grover_tilted": CoinOperator(GROVER_ENTRIES @ np.diag([np.exp(1e-13j), 1, 1, 1])),
+    # a real coin that is not symmetric, so a transposed product shows
+    "rotation": CoinOperator(
+        np.kron(*(np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in (0.3, 1.1)))
+    ),
 }
 _BIG = _unit_disk(np.random.default_rng(5), (4, 9, 12))
 KERNEL_BOXES = {
@@ -518,7 +522,7 @@ def test_step_box_matches_an_einsum_reference_on_every_box_shape(name, box, rota
 
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize("box", KERNEL_BOXES)
-@pytest.mark.parametrize("name", ["grover", "hadamard4", "swap"])
+@pytest.mark.parametrize("name", ["grover", "hadamard4", "swap", "rotation"])
 def test_a_real_coins_4x4_product_equals_its_8x8_plane_product(name, box, rotated):
     coin = KERNEL_COINS[name]
     assert coin._planes.shape == (4, 4)
